@@ -460,7 +460,7 @@ impl Graph {
                 add_grad(*b, gb, grads)?;
             }
             Op::Scale(a, c) => add_grad(*a, grad.scale(*c), grads)?,
-            Op::AddScalar(a, _) => add_grad(*a, grad.clone(), grads)?,
+            Op::AddScalar(a, _) => add_grad(*a, grad.clone_pooled(), grads)?,
             Op::Matmul(a, b) => {
                 // dA = dC B^T ; dB = A^T dC
                 let ga = grad.matmul_nt(&self.nodes[*b].value)?;

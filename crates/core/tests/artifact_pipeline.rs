@@ -391,4 +391,17 @@ fn golden_artifact_bytes_are_pinned() {
     let mut golden_net = network_from_artifact(&decoded).unwrap();
     let logits = golden_net.predict(&test_set.images).unwrap();
     assert!(logits.data().iter().all(|v| v.is_finite()));
+    // The artifact bytes pin weights and accuracies but not eval-mode
+    // forward output (running-stat BatchNorm broadcasts included); pin the
+    // logits' bits too.
+    let logit_bytes: Vec<u8> = logits
+        .data()
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    assert_eq!(
+        hero_artifact::fnv1a64(&logit_bytes),
+        0xc29e_d95e_7261_18a4,
+        "golden model's eval-mode logits changed bitwise"
+    );
 }

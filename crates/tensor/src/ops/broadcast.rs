@@ -11,6 +11,14 @@ impl Tensor {
     /// Trailing axes are aligned; an axis of size 1 stretches to match its
     /// counterpart. The output has the broadcast shape.
     ///
+    /// The walk is run-collapsed: the trailing output axes on which each
+    /// operand is either fully present (contiguous) or fully stretched
+    /// (constant) merge into one inner run, evaluated as a tight slice loop
+    /// (zip, operand⊙scalar, scalar⊙operand or fill); an odometer over the
+    /// remaining outer axes advances once per run. Every output element is
+    /// still `f(a, b)` on the same pair of inputs, written in row-major
+    /// order, so the result is bitwise equal to per-element evaluation.
+    ///
     /// # Errors
     ///
     /// Returns [`crate::TensorError::BroadcastMismatch`] if the shapes are
@@ -35,28 +43,34 @@ impl Tensor {
             return self.zip(other, f);
         }
         let out_shape = self.shape().broadcast_with(other.shape())?;
-        let mut out = pool::lease_raw(out_shape.numel());
-        let a_idx = BroadcastIndexer::new(self.shape(), &out_shape);
-        let b_idx = BroadcastIndexer::new(other.shape(), &out_shape);
-        // Odometer walk: offsets advance incrementally instead of being
-        // recomputed (and a multi-index allocated) per element.
-        let dims = out_shape.dims();
-        let rank = out_shape.rank();
-        let mut idx = vec![0usize; rank];
-        let (mut a_off, mut b_off) = (0usize, 0usize);
-        for _ in 0..out_shape.numel() {
-            out.push(f(self.data()[a_off], other.data()[b_off]));
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                a_off += a_idx.strides[ax];
-                b_off += b_idx.strides[ax];
-                if idx[ax] < dims[ax] {
-                    break;
+        let numel = out_shape.numel();
+        let mut out = pool::lease_raw(numel);
+        if numel > 0 {
+            let a_idx = BroadcastIndexer::new(self.shape(), &out_shape);
+            let b_idx = BroadcastIndexer::new(other.shape(), &out_shape);
+            let dims = out_shape.dims();
+            let (k, run, [a_contig, b_contig]) = split_run(dims, [&a_idx.strides, &b_idx.strides]);
+            let (a, b) = (self.data(), other.data());
+            let outer = [&a_idx.strides[..k], &b_idx.strides[..k]];
+            for_each_run(&dims[..k], outer, numel / run, |[ao, bo]| {
+                match (a_contig, b_contig) {
+                    (true, true) => out.extend(
+                        a[ao..ao + run]
+                            .iter()
+                            .zip(&b[bo..bo + run])
+                            .map(|(&x, &y)| f(x, y)),
+                    ),
+                    (true, false) => {
+                        let y = b[bo];
+                        out.extend(a[ao..ao + run].iter().map(|&x| f(x, y)));
+                    }
+                    (false, true) => {
+                        let x = a[ao];
+                        out.extend(b[bo..bo + run].iter().map(|&y| f(x, y)));
+                    }
+                    (false, false) => out.extend(std::iter::repeat_n(f(a[ao], b[bo]), run)),
                 }
-                a_off -= dims[ax] * a_idx.strides[ax];
-                b_off -= dims[ax] * b_idx.strides[ax];
-                idx[ax] = 0;
-            }
+            });
         }
         Tensor::from_vec(out, out_shape)
     }
@@ -101,13 +115,18 @@ impl Tensor {
     /// the adjoint of broadcasting. Axes that were stretched from size 1
     /// are summed; leading axes that were added are summed away.
     ///
+    /// Uses the same run-collapsed walk as [`Tensor::broadcast_op`]; each
+    /// target element accumulates its source elements one by one in
+    /// increasing source order, so the sums are bitwise equal to a
+    /// per-element walk.
+    ///
     /// # Errors
     ///
     /// Returns an error if `self`'s shape is not a valid broadcast of
     /// `target`.
     pub fn reduce_to_shape(&self, target: &Shape) -> Result<Tensor> {
         if self.shape() == target {
-            return Ok(self.clone());
+            return Ok(self.clone_pooled());
         }
         // Verify compatibility (target must broadcast to self's shape).
         let check = target.broadcast_with(self.shape())?;
@@ -118,24 +137,88 @@ impl Tensor {
             });
         }
         let mut out = pool::lease(target.numel());
-        let indexer = BroadcastIndexer::new(target, self.shape());
-        let dims = self.dims();
-        let rank = self.rank();
-        let mut idx = vec![0usize; rank];
-        let mut off = 0usize;
-        for flat in 0..self.numel() {
-            out[off] += self.data()[flat];
-            for ax in (0..rank).rev() {
-                idx[ax] += 1;
-                off += indexer.strides[ax];
-                if idx[ax] < dims[ax] {
-                    break;
+        let numel = self.numel();
+        if numel > 0 {
+            let indexer = BroadcastIndexer::new(target, self.shape());
+            let dims = self.dims();
+            let (k, run, [contig]) = split_run(dims, [&indexer.strides]);
+            let src = self.data();
+            let mut flat = 0;
+            for_each_run(&dims[..k], [&indexer.strides[..k]], numel / run, |[off]| {
+                let chunk = &src[flat..flat + run];
+                if contig {
+                    for (o, &v) in out[off..off + run].iter_mut().zip(chunk) {
+                        *o += v;
+                    }
+                } else {
+                    out[off] = chunk.iter().fold(out[off], |acc, &v| acc + v);
                 }
-                off -= dims[ax] * indexer.strides[ax];
-                idx[ax] = 0;
-            }
+                flat += run;
+            });
         }
         Tensor::from_vec(out, target.clone())
+    }
+}
+
+/// Splits the axes of `dims` (a non-empty broadcast output) into outer axes
+/// `..k` and an inner run over `k..` of `run` elements, along which every
+/// operand (given by its per-axis `strides`, 0 where stretched) is either
+/// contiguous or constant. Returns `(k, run, contiguous)`; size-1 axes join
+/// any run.
+fn split_run<const N: usize>(dims: &[usize], strides: [&[usize]; N]) -> (usize, usize, [bool; N]) {
+    let mut kinds = [None; N];
+    let mut run = 1;
+    let mut k = dims.len();
+    'axes: while k > 0 {
+        let ax = k - 1;
+        if dims[ax] != 1 {
+            let mut next = kinds;
+            for (kind, s) in next.iter_mut().zip(strides) {
+                let contiguous = match s[ax] {
+                    0 => false,
+                    st if st == run => true,
+                    _ => break 'axes,
+                };
+                if kind.is_some_and(|c| c != contiguous) {
+                    break 'axes;
+                }
+                *kind = Some(contiguous);
+            }
+            kinds = next;
+            run *= dims[ax];
+        }
+        k = ax;
+    }
+    // An operand left undecided has only size-1 axes in the run (run == 1).
+    (k, run, kinds.map(|c| c.unwrap_or(true)))
+}
+
+/// Calls `body` `runs` times with each operand's offset at the start of an
+/// inner run, advancing an odometer over the outer axes `dims` once per run
+/// (offsets move incrementally by the per-axis `strides`).
+fn for_each_run<const N: usize>(
+    dims: &[usize],
+    strides: [&[usize]; N],
+    runs: usize,
+    mut body: impl FnMut([usize; N]),
+) {
+    let mut idx = vec![0usize; dims.len()];
+    let mut offs = [0usize; N];
+    for _ in 0..runs {
+        body(offs);
+        for ax in (0..dims.len()).rev() {
+            idx[ax] += 1;
+            for (o, s) in offs.iter_mut().zip(strides) {
+                *o += s[ax];
+            }
+            if idx[ax] < dims[ax] {
+                break;
+            }
+            for (o, s) in offs.iter_mut().zip(strides) {
+                *o -= dims[ax] * s[ax];
+            }
+            idx[ax] = 0;
+        }
     }
 }
 

@@ -34,6 +34,10 @@ use std::cell::RefCell;
 /// dropped so donated one-off buffers cannot grow the pool without bound.
 const MAX_HELD: usize = 1024;
 
+/// Smallest size class, in elements: requests below it may take any free
+/// buffer of up to twice this capacity.
+const MIN_CLASS: usize = 64;
+
 /// Number of canary words placed past each lease's live region under the
 /// `sanitize` feature.
 #[cfg(feature = "sanitize")]
@@ -164,6 +168,12 @@ impl ScratchPool {
     /// Best-fit lookup shared by [`ScratchPool::lease`] and
     /// [`ScratchPool::lease_copy`]: returns an empty buffer with capacity
     /// for at least `len` elements.
+    ///
+    /// A free buffer qualifies only if its capacity is at most twice the
+    /// request (or twice [`MIN_CLASS`] for small requests). Handing a large
+    /// buffer to a small lease would leave the next large lease to allocate
+    /// afresh, so the free list would fill with oversized buffers and the
+    /// process's peak memory would grow with it.
     pub(crate) fn lease_raw(&mut self, len: usize) -> Vec<f32> {
         self.leases += 1;
         // Under sanitize every lease reserves room for trailing canaries.
@@ -171,10 +181,11 @@ impl ScratchPool {
         let need = len + CANARY_WORDS;
         #[cfg(not(feature = "sanitize"))]
         let need = len;
+        let fits = need..=2 * need.max(MIN_CLASS);
         let mut best: Option<(usize, usize)> = None;
         for (i, buf) in self.free.iter().enumerate() {
             let cap = buf.capacity();
-            if cap >= need && best.is_none_or(|(_, bc)| cap < bc) {
+            if fits.contains(&cap) && best.is_none_or(|(_, bc)| cap < bc) {
                 best = Some((i, cap));
                 if cap == need {
                     break;
@@ -450,6 +461,21 @@ mod tests {
         pool.recycle(small);
         let b = pool.lease(10);
         assert!(b.capacity() < 1000, "picked the oversized buffer");
+        assert_eq!(pool.stats().fresh_allocs, 2);
+    }
+
+    #[test]
+    fn lease_skips_buffers_over_twice_the_request() {
+        let mut pool = ScratchPool::new();
+        let big = pool.lease(1000);
+        pool.recycle(big);
+        let small = pool.lease(100);
+        assert!(
+            small.capacity() < 1000,
+            "small lease took the oversized buffer"
+        );
+        assert_eq!(pool.stats().fresh_allocs, 2);
+        let _half = pool.lease(500); // within 2x: served from the free list
         assert_eq!(pool.stats().fresh_allocs, 2);
     }
 

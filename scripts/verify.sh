@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: build, full test suite, sanitizer test suite,
-# formatting, lints, and a quick bench smoke run. Everything runs offline.
+# the benchmark package's own tests, formatting, lints, and a quick bench
+# smoke run. Everything runs offline.
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,12 @@ cargo test -q -p hero-autodiff --features sanitize
 echo "==> cargo test -q (obs-off feature: instrumentation compiled out)"
 cargo test -q -p hero-obs --features obs-off
 cargo test -q -p hero-bench --features obs-off
+
+echo "==> cargo test (herobench: the repository benchmark's own tests)"
+# herobench is a Cargo workspace of its own (path deps on the crates), so
+# the --workspace runs above never reach its statistics, tail rung, pair
+# rule or its check that BENCHMARK.json names what the code reports.
+cargo test -q --release --manifest-path herobench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
