@@ -1,69 +1,30 @@
-//! `hero` — command-line front end for the HERO reproduction.
-//!
-//! ```text
-//! hero train     --preset c10 --model resnet --method hero --epochs 30 [--out net.ckpt]
-//!                [--save model.ha] [--checkpoint ckpt.ha --checkpoint-every 5]
-//!                [--resume ckpt.ha] [--git-rev REV] [--golden-recipe golden.ha]
-//! hero quantize  --preset c10 --model resnet (--ckpt net.ckpt | --artifact model.ha)
-//!                --bits 3,4,6,8 [--mixed 5.0 [--sens static|proxy]]
-//!                [--save quantized.ha [--save-bits 4]]
-//! hero analyze   --preset c10 --model resnet --ckpt net.ckpt
-//! hero preflight --preset c10 --model resnet [--artifact model.ha [--stamp model.ha]]
-//!                [--bits 3,4,8] [--noise-bits 4 | --mixed 4.0] [--budget 0.5]
-//!                [--out-dir results/analyze]
-//! hero noise-crosscheck --preset c10 --models resnet,mobilenet,vgg
-//!                [--bits 2,4,8] [--trials 2] [--out results/analyze/noise_crosscheck.json]
-//!                [--tightness results/analyze/tightness.json]
-//! hero spectrum  --preset c10 --model resnet --methods sgd,hero [--epochs 3]
-//!                [--artifact model.ha] [--steps 10] [--probes 4]
-//!                [--out results/SPECTRUM_run.json]
-//! hero artifact inspect --path model.ha
-//! ```
-//!
-//! `train` trains and optionally checkpoints a model; `quantize` sweeps
-//! post-training precision on a checkpoint (or a uniform/mixed allocation,
-//! with the sensitivity source selectable between the certified static
-//! noise matrix and the size/range proxy); `analyze` reports curvature
-//! (λ_max via Lanczos, ‖Hz‖) and the Theorem 3 robustness bounds at the
-//! checkpoint; `preflight` runs the static analyzer suite (structure,
-//! shapes, liveness, value intervals, gradient-scale bounds, and — with
-//! `--noise-bits`/`--mixed` — the quantization-noise domain) over the
-//! model's tape without training and writes the report plus an
-//! interval-colored Graphviz view; `noise-crosscheck` adversarially
-//! validates the noise domain against measured fake-quant probe-loss
-//! shifts, writes a JSON artifact (plus, with `--tightness`, the
-//! interval-vs-zonotope domain-comparison table), and exits nonzero on
-//! any soundness violation or domain-tightness regression; `spectrum` is
-//! the Hessian observatory — it trains each
-//! requested method with per-epoch spectrum telemetry, takes a deep SLQ
-//! density + per-layer Hutchinson-trace probe of the final weights,
-//! cross-checks the empirical trace ranking against the certified static
-//! sensitivity matrix (Spearman), prints an ASCII density plot, and
-//! writes one comparison artifact.
-//!
-//! The `--save`/`--artifact` family speaks the versioned deterministic
-//! model-artifact format (`hero-artifact`): `train --save` captures the
-//! trained weights, batch-norm state, full config and training history in
-//! one byte-reproducible file, `--checkpoint`/`--resume` make runs
-//! interruptible without perturbing a single bit of the final result, and
-//! `preflight --artifact` / `quantize --artifact` / `spectrum --artifact`
-//! re-analyze a saved model without retraining. `artifact inspect` prints
-//! a human summary of any artifact file.
+//! `hero` — command-line front end for the HERO reproduction: training,
+//! post-training quantization, curvature and static analysis, the
+//! spectrum observatory, model artifacts (`.ha`, DESIGN.md §16) and the
+//! paper's tables and figures (`hero repro`). `hero help` lists every
+//! command and flag; the parser and that text both come from [`COMMANDS`].
 
 use hero_artifact::{Artifact, MetaValue, QuantEntry};
-use hero_core::experiment::{model_config, MethodKind};
+use hero_bench::{banner, emit_artifact};
+use hero_core::experiment::{
+    fig1_bits, model_config, quant_sweep, run_fig2, run_fig3, run_table1, run_table1_cached,
+    run_table2, run_table3, table1_matrix, MethodKind, Scale,
+};
+use hero_core::report::{
+    render_fig1_panel, render_fig2, render_fig3, render_table1, render_table2, render_table3,
+};
 use hero_core::{
     attach_quant, golden_recipe, load_artifact, network_from_artifact, record_from_artifact,
     resume_from_artifact, save_artifact, train, train_to_artifact, ModelSpec, NoiseConfig, RunMeta,
     TrainConfig, TrainRecord,
 };
-use hero_data::Preset;
+use hero_data::{Dataset, Preset};
 use hero_hessian::{
     hessian_norm_probe, lanczos_spectrum, layer_traces, slq_density, spearman_rank_checked,
     BoundInputs, GradOracle, SlqConfig,
 };
 use hero_nn::models::ModelKind;
-use hero_nn::{evaluate_accuracy, load_params_from_file, save_params_to_file, Network};
+use hero_nn::{evaluate_accuracy, Network};
 use hero_optim::BatchOracle;
 use hero_quant::{
     allocate_bits, network_sensitivities, quantize_params, quantize_params_mixed, quantize_tensor,
@@ -71,52 +32,39 @@ use hero_quant::{
 };
 use hero_tensor::rng::StdRng;
 use hero_tensor::{global_norm_l1, global_norm_l2};
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::fmt::{Display, Write as _};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+    let Some((name, rest)) = args.split_first() else {
+        eprint!("{}", usage());
         return ExitCode::FAILURE;
     };
-    // `artifact` takes a subcommand word before its flags; fold it into
-    // the command name so the flag parser only ever sees `--key value`.
-    let (cmd, rest): (&str, &[String]) = if cmd == "artifact" {
-        match rest.split_first() {
-            Some((sub, tail)) if sub == "inspect" => ("artifact-inspect", tail),
-            _ => {
-                eprintln!("error: `hero artifact` supports `inspect --path FILE`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        (cmd.as_str(), rest)
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprint!("error: unknown command `{name}`\n\n{}", usage());
+        return ExitCode::FAILURE;
     };
-    let opts = match parse_flags(rest) {
+    let opts = match parse(cmd, rest) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprint!("error: {e}\n\n{}", cmd.usage());
             return ExitCode::FAILURE;
         }
     };
-    hero_obs::init_from_env(&format!("hero_{cmd}"));
-    let result = match cmd {
-        "train" => cmd_train(&opts),
-        "quantize" => cmd_quantize(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "preflight" => cmd_preflight(&opts),
-        "noise-crosscheck" => cmd_noise_crosscheck(&opts),
-        "spectrum" => cmd_spectrum(&opts),
-        "artifact-inspect" => cmd_artifact_inspect(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+    // `repro` targets keep their historical trace run names.
+    let run = match (cmd.name, opts.operand) {
+        ("repro", target) => format!("repro_{}", target.replace('-', "_")),
+        (name, "") => format!("hero_{name}"),
+        (name, sub) => format!("hero_{name}-{sub}"),
     };
+    hero_obs::init_from_env(&run);
+    let result = (cmd.run)(&opts);
     hero_obs::finish();
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -127,159 +75,537 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-hero — HERO (DAC 2022) reproduction CLI
+// --- command table ----------------------------------------------------------
 
-USAGE:
-  hero train    --preset <c10|c100|in50> --model <resnet|mobilenet|vgg>
-                --method <hero|sam|gradl1|sgd> [--epochs N] [--scale F]
-                [--seed N] [--out FILE] [--save FILE.ha] [--git-rev REV]
-                [--checkpoint FILE.ha [--checkpoint-every N]]
-                [--resume FILE.ha] [--golden-recipe FILE.ha]
-  hero quantize --preset ... --model ...
-                (--ckpt FILE | --artifact FILE.ha | --method ... [--epochs N])
-                [--bits 3,4,6,8] [--mixed AVG_BITS [--sens static|proxy]]
-                [--save FILE.ha [--save-bits N]]
-  hero analyze  --preset ... --model ... (--ckpt FILE | --method ... [--epochs N])
-  hero preflight --preset ... --model ... [--ckpt FILE] [--scale F] [--seed N]
-                 [--artifact FILE.ha [--stamp FILE.ha]]
-                 [--bits 3,4,8] [--noise-bits N | --mixed AVG_BITS]
-                 [--budget F] [--out-dir DIR]
-  hero noise-crosscheck --preset ... [--models resnet,mobilenet,vgg]
-                 [--bits 2,4,8] [--trials N] [--epochs N] [--scale F]
-                 [--avg AVG_BITS] [--min-overlap F] [--out FILE]
-                 [--tightness FILE]
-  hero spectrum  --preset ... --model ... [--methods sgd,hero] [--epochs N]
-                 [--artifact FILE.ha] [--scale F] [--seed N] [--steps N]
-                 [--probes N] [--bits N] [--spectrum-every N] [--out FILE]
-  hero artifact inspect --path FILE.ha
-
-Artifact-format notes: `--save`/`--checkpoint` write the versioned
-deterministic model-artifact format (see DESIGN.md §16); `--resume`
-continues a checkpoint bit-exactly (pass the original --preset/--scale so
-the datasets match); `--golden-recipe` trains the fixed smoke recipe
-behind the committed golden artifact and writes it to FILE.ha.";
-
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut out = HashMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{a}`"));
-        };
-        let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-        out.insert(key.to_string(), value.clone());
-    }
-    Ok(out)
+/// One `hero` command: its flags, usage text and entry point.
+struct Command {
+    name: &'static str,
+    /// Words one of which must follow the command name (`repro fig1`);
+    /// empty when the command takes flags only.
+    operands: &'static [&'static str],
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Opts) -> Result<(), String>,
 }
 
-fn preset_of(opts: &HashMap<String, String>) -> Result<Preset, String> {
-    match opts.get("preset").map(String::as_str) {
-        Some("c10") | None => Ok(Preset::C10),
-        Some("c100") => Ok(Preset::C100),
-        Some("in50") => Ok(Preset::In50),
-        Some(other) => Err(format!("unknown preset `{other}`")),
+/// One command-line flag: `--name VALUE`, or a bare `--name` switch.
+struct Flag {
+    name: &'static str,
+    /// Placeholder for the value in the usage text; `None` for a switch.
+    value: Option<&'static str>,
+    /// Value the command sees when the flag is absent.
+    default: Option<&'static str>,
+    /// A flag this one is rejected without.
+    needs: Option<&'static str>,
+    help: &'static str,
+}
+
+type S = &'static str;
+
+/// A flag taking a value, with no default.
+const fn opt(name: S, value: S, help: S) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        default: None,
+        needs: None,
+        help,
     }
 }
 
-fn model_of(opts: &HashMap<String, String>) -> Result<ModelKind, String> {
-    match opts.get("model").map(String::as_str) {
-        Some("resnet") | None => Ok(ModelKind::Resnet),
-        Some("mobilenet") => Ok(ModelKind::Mobilenet),
-        Some("vgg") => Ok(ModelKind::Vgg),
-        Some(other) => Err(format!("unknown model `{other}`")),
+/// A flag taking a value, with a default.
+const fn val(name: S, value: S, default: S, help: S) -> Flag {
+    Flag {
+        default: Some(default),
+        ..opt(name, value, help)
     }
 }
 
-fn method_of(opts: &HashMap<String, String>) -> Result<MethodKind, String> {
-    match opts.get("method").map(String::as_str) {
-        Some("hero") | None => Ok(MethodKind::Hero),
-        Some("sam") | Some("first-order") => Ok(MethodKind::FirstOrder),
-        Some("gradl1") => Ok(MethodKind::GradL1),
-        Some("sgd") => Ok(MethodKind::Sgd),
-        Some(other) => Err(format!("unknown method `{other}`")),
+impl Flag {
+    const fn needs(self, other: S) -> Flag {
+        Flag {
+            needs: Some(other),
+            ..self
+        }
     }
 }
 
-fn parse_bits(arg: &str, flag: &str) -> Result<Vec<u8>, String> {
-    arg.split(',')
-        .map(|token| {
-            token
-                .trim()
-                .parse()
-                .map_err(|_| format!("--{flag}: cannot parse `{token}`"))
-        })
-        .collect()
-}
+const PRESET: Flag = val("preset", "c10|c100|in50", "c10", "dataset preset");
+const MODEL: Flag = val("model", "resnet|mobilenet|vgg", "resnet", "architecture");
+const METHOD: Flag = val("method", "hero|sam|gradl1|sgd", "hero", "training method");
+const SEED: Flag = val("seed", "N", "42", "RNG seed");
+const ARTIFACT: Flag = opt("artifact", "FILE.ha", "use this saved model");
+const TRAIN_EPOCHS: Flag = val("epochs", "N", "20", "training epochs");
+const TRAIN_SCALE: Flag = val("scale", "F", "0.5", "dataset size multiplier");
+const PROBE_EPOCHS: Flag = val("epochs", "N", "3", "training epochs per model");
+const PROBE_SCALE: Flag = val("scale", "F", "0.25", "dataset size multiplier");
 
-fn num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: cannot parse `{v}`")),
+const REPRO_TARGETS: &[&str] = &[
+    "table1", "table2", "table3", "fig1", "fig2", "fig3", "c10-row",
+];
+
+static COMMANDS: &[Command] = &[
+    Command {
+        name: "train",
+        operands: &[],
+        about: "Train a model; --save writes weights, BN state, config and history as one \
+                byte-reproducible artifact. --resume needs the checkpoint's --preset/--scale.",
+        flags: &[
+            PRESET,
+            MODEL,
+            METHOD,
+            TRAIN_EPOCHS,
+            TRAIN_SCALE,
+            SEED,
+            opt("save", "FILE.ha", "write the trained model artifact"),
+            val("git-rev", "REV", "unknown", "artifact provenance.git_rev"),
+            opt("checkpoint", "FILE.ha", "write resumable checkpoints"),
+            val("checkpoint-every", "N", "1", "epochs between checkpoints"),
+            opt("resume", "FILE.ha", "continue a checkpoint bit-exactly"),
+            opt("golden-recipe", "FILE.ha", "train the golden recipe"),
+        ],
+        run: cmd_train,
+    },
+    Command {
+        name: "quantize",
+        operands: &[],
+        about: "Post-training quantization sweep over a saved or freshly trained model.",
+        flags: &[
+            PRESET,
+            MODEL,
+            METHOD,
+            TRAIN_EPOCHS,
+            TRAIN_SCALE,
+            SEED,
+            ARTIFACT,
+            val("bits", "LIST", "3,4,6,8", "uniform bit widths to evaluate"),
+            opt("mixed", "AVG_BITS", "also evaluate mixed precision"),
+            val("sens", "static|proxy", "static", "sensitivity for --mixed"),
+            opt("save", "FILE.ha", "write the quantized artifact").needs("artifact"),
+            opt("save-bits", "N", "--save width (default: first --bits)").needs("artifact"),
+        ],
+        run: cmd_quantize,
+    },
+    Command {
+        name: "analyze",
+        operands: &[],
+        about: "Curvature at a saved or freshly trained model: ‖Hz‖, Lanczos \
+                λ_max/λ_min and the Theorem 3 robustness bounds.",
+        flags: &[
+            PRESET,
+            MODEL,
+            METHOD,
+            TRAIN_EPOCHS,
+            TRAIN_SCALE,
+            SEED,
+            ARTIFACT,
+        ],
+        run: cmd_analyze,
+    },
+    Command {
+        name: "preflight",
+        operands: &[],
+        about: "Static analyzer suite over the model's tape, without training; writes \
+                <model>_<preset>.{txt,dot} to --out-dir.",
+        flags: &[
+            PRESET,
+            MODEL,
+            TRAIN_SCALE,
+            SEED,
+            ARTIFACT,
+            opt("stamp", "FILE.ha", "copy --artifact with the report hash").needs("artifact"),
+            val("bits", "LIST", "3,4,8", "quantization widths to check"),
+            opt("noise-bits", "N", "certify uniform N-bit noise"),
+            opt("mixed", "AVG_BITS", "certify a mixed allocation"),
+            opt("budget", "F", "loss-error budget for the noise domain"),
+            val("out-dir", "DIR", "results/analyze", "report directory"),
+        ],
+        run: cmd_preflight,
+    },
+    Command {
+        name: "noise-crosscheck",
+        operands: &[],
+        about: "Check certified quantization-noise bounds against measured fake-quant \
+                loss shifts; exits nonzero on any violation.",
+        flags: &[
+            PRESET,
+            val("models", "LIST", "resnet,mobilenet,vgg", "models to check"),
+            val("bits", "LIST", "2,4,8", "bit-width grid"),
+            val("trials", "N", "2", "fake-quant trials per cell"),
+            PROBE_EPOCHS,
+            PROBE_SCALE,
+            SEED,
+            val("avg", "AVG_BITS", "4", "mixed-vs-uniform average bits"),
+            val("min-overlap", "F", "0", "fail below this ranking overlap"),
+            val(
+                "out",
+                "FILE",
+                "results/analyze/noise_crosscheck.json",
+                "JSON report",
+            ),
+            opt("tightness", "FILE", "interval-vs-zonotope JSON"),
+        ],
+        run: cmd_noise_crosscheck,
+    },
+    Command {
+        name: "spectrum",
+        operands: &[],
+        about: "Hessian observatory: SLQ density and per-layer traces of each trained model, \
+                ranked against the static sensitivity matrix. Writes --out, by default \
+                results/SPECTRUM_<model>_<preset>.json.",
+        flags: &[
+            PRESET,
+            MODEL,
+            val("methods", "LIST", "sgd,hero", "training methods to compare"),
+            PROBE_EPOCHS,
+            PROBE_SCALE,
+            SEED,
+            ARTIFACT,
+            val("steps", "N", "10", "Lanczos steps per probe"),
+            val("probes", "N", "4", "random probes"),
+            val("bits", "N", "4", "width of the static sensitivity matrix"),
+            val("spectrum-every", "N", "1", "probe every N epochs"),
+            opt("out", "FILE", "JSON report"),
+        ],
+        run: cmd_spectrum,
+    },
+    Command {
+        name: "artifact",
+        operands: &["inspect"],
+        about: "Print the header, meta, tensors, quantization and resume state of an artifact.",
+        flags: &[opt("path", "FILE.ha", "artifact to read")],
+        run: cmd_artifact_inspect,
+    },
+    Command {
+        name: "repro",
+        operands: REPRO_TARGETS,
+        about: "Regenerate a table or figure of the paper (see EXPERIMENTS.md).",
+        flags: &[
+            Flag {
+                value: None,
+                ..opt(
+                    "fast",
+                    "",
+                    "smoke-test scale instead of the full reproduction",
+                )
+            },
+            opt("artifact-dir", "DIR", "c10-row model-artifact cache"),
+        ],
+        run: cmd_repro,
+    },
+];
+
+impl Command {
+    fn usage(&self) -> String {
+        let mut s = format!("hero {}", self.name);
+        if !self.operands.is_empty() {
+            let _ = write!(s, " <{}>", self.operands.join("|"));
+        }
+        let _ = writeln!(s, "\n    {}", self.about);
+        for f in self.flags {
+            let lhs = match f.value {
+                Some(value) => format!("--{} {value}", f.name),
+                None => format!("--{}", f.name),
+            };
+            let _ = write!(s, "      {lhs:<30} {}", f.help);
+            if let Some(d) = f.default {
+                let _ = write!(s, " [default: {d}]");
+            }
+            if let Some(n) = f.needs {
+                let _ = write!(s, " (needs --{n})");
+            }
+            s.push('\n');
+        }
+        s
     }
 }
 
-/// Obtains a trained network: from a checkpoint if `--ckpt` is given,
-/// otherwise by training with `--method` for `--epochs`.
-fn obtain_model(
-    opts: &HashMap<String, String>,
-) -> Result<(Network, Preset, hero_data::Dataset, hero_data::Dataset), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.5)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let (train_set, test_set) = preset.load(scale);
+fn usage() -> String {
+    let mut s =
+        String::from("hero — HERO (DAC 2022) reproduction CLI\n\nUSAGE: hero <command> [flags]\n");
+    for cmd in COMMANDS {
+        s.push('\n');
+        s.push_str(&cmd.usage());
+    }
+    s
+}
+
+// --- parsing ----------------------------------------------------------------
+
+/// A command line parsed against one command's flag table.
+struct Opts {
+    cmd: &'static Command,
+    /// The chosen operand, or `""` for commands without one.
+    operand: &'static str,
+    /// Raw values by flag position; a given switch holds `""`.
+    values: Vec<Option<String>>,
+}
+
+/// Parses `args` (everything after the command name): the operand if the
+/// command takes one, then flags. Unknown, repeated and value-less flags
+/// are rejected, as is a flag given without the flag it needs.
+fn parse(cmd: &'static Command, args: &[String]) -> Result<Opts, String> {
+    let mut args = args.iter();
+    let mut operand = "";
+    if !cmd.operands.is_empty() {
+        let word = args.next().map_or("", String::as_str);
+        operand = cmd.operands.iter().find(|o| **o == word).ok_or_else(|| {
+            format!(
+                "`hero {}` takes one of {}, not `{word}`",
+                cmd.name,
+                cmd.operands.join(", ")
+            )
+        })?;
+    }
+    let mut values = vec![None; cmd.flags.len()];
+    while let Some(arg) = args.next() {
+        let name = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unexpected argument `{arg}`"))?;
+        let i = cmd
+            .flags
+            .iter()
+            .position(|f| f.name == name)
+            .ok_or_else(|| format!("`hero {}` has no flag `--{name}`", cmd.name))?;
+        if values[i].is_some() {
+            return Err(format!("`--{name}` given more than once"));
+        }
+        values[i] = Some(match cmd.flags[i].value {
+            Some(_) => args
+                .next()
+                .ok_or_else(|| format!("--{name} needs a value"))?
+                .clone(),
+            None => String::new(),
+        });
+    }
+    let opts = Opts {
+        cmd,
+        operand,
+        values,
+    };
+    for (flag, value) in cmd.flags.iter().zip(&opts.values) {
+        if let (Some(_), Some(needed)) = (value, flag.needs) {
+            if !opts.given(needed) {
+                return Err(format!("--{} needs --{needed}", flag.name));
+            }
+        }
+    }
+    Ok(opts)
+}
+
+impl Opts {
+    fn index(&self, name: &str) -> usize {
+        self.cmd
+            .flags
+            .iter()
+            .position(|f| f.name == name)
+            .unwrap_or_else(|| panic!("`hero {}` declares no --{name}", self.cmd.name))
+    }
+
+    /// Whether the flag was given on the command line.
+    fn given(&self, name: &str) -> bool {
+        self.values[self.index(name)].is_some()
+    }
+
+    /// The flag's value as given, else its default.
+    fn get(&self, name: &str) -> Option<&str> {
+        let i = self.index(name);
+        self.values[i].as_deref().or(self.cmd.flags[i].default)
+    }
+
+    /// [`Opts::get`], parsed.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: cannot parse `{v}`"))
+            })
+            .transpose()
+    }
+
+    /// [`Opts::parsed`] for a flag with a default.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        self.parsed(name)?
+            .ok_or_else(|| format!("--{name} is required"))
+    }
+
+    /// Maps a name flag (`--model resnet`) through `item`.
+    fn one<T>(&self, name: &str, item: fn(&str) -> Result<T, String>) -> Result<T, String> {
+        item(self.get(name).unwrap_or_default()).map_err(|e| format!("--{name}: {e}"))
+    }
+
+    /// Splits a comma-separated flag value and maps each item.
+    fn list<T>(&self, name: &str, item: fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.get(name)
+            .unwrap_or_default()
+            .split(',')
+            .map(|token| item(token.trim()).map_err(|e| format!("--{name}: {e}")))
+            .collect()
+    }
+}
+
+fn parse_preset(name: &str) -> Result<Preset, String> {
+    match name {
+        "c10" => Ok(Preset::C10),
+        "c100" => Ok(Preset::C100),
+        "in50" => Ok(Preset::In50),
+        other => Err(format!("unknown preset `{other}`")),
+    }
+}
+
+fn parse_model(name: &str) -> Result<ModelKind, String> {
+    match name {
+        "resnet" => Ok(ModelKind::Resnet),
+        "mobilenet" => Ok(ModelKind::Mobilenet),
+        "vgg" => Ok(ModelKind::Vgg),
+        other => Err(format!("unknown model `{other}`")),
+    }
+}
+
+fn parse_method(name: &str) -> Result<MethodKind, String> {
+    match name {
+        "hero" => Ok(MethodKind::Hero),
+        "sam" | "first-order" => Ok(MethodKind::FirstOrder),
+        "gradl1" => Ok(MethodKind::GradL1),
+        "sgd" => Ok(MethodKind::Sgd),
+        other => Err(format!("unknown method `{other}`")),
+    }
+}
+
+fn parse_bits(token: &str) -> Result<u8, String> {
+    token.parse().map_err(|_| format!("cannot parse `{token}`"))
+}
+
+fn err(e: impl Display) -> String {
+    e.to_string()
+}
+
+// --- shared model plumbing --------------------------------------------------
+
+/// The `--preset` datasets at `--scale`.
+fn datasets(opts: &Opts) -> Result<(Preset, Dataset, Dataset), String> {
+    let preset = opts.one("preset", parse_preset)?;
+    let (train_set, test_set) = preset.load(opts.num("scale")?);
+    Ok((preset, train_set, test_set))
+}
+
+/// Loads a model artifact and rebuilds its network.
+fn open_artifact(path: &str) -> Result<(Network, Artifact), String> {
+    let art = load_artifact(path).map_err(err)?;
+    let net = network_from_artifact(&art).map_err(err)?;
+    hero_obs::Event::new("artifact_loaded")
+        .str("path", path)
+        .human(format!("loaded artifact {path}"))
+        .emit();
+    Ok((net, art))
+}
+
+/// Paper name of the architecture stored in an artifact.
+fn artifact_model_name(art: &Artifact) -> &'static str {
+    art.meta_str("model.kind")
+        .and_then(|kind| parse_model(kind).ok())
+        .map_or("MLP", ModelKind::paper_name)
+}
+
+/// Report-file stem for a model on a preset, e.g. `vgg19bn_cifar_10`.
+fn report_stem(model: &str, preset: Preset) -> String {
+    format!("{model}_{}", preset.paper_name())
+        .to_lowercase()
+        .replace(['/', ' ', '-'], "_")
+}
+
+/// Trains a fresh `--model` with `--method` for `--epochs` through the
+/// artifact pipeline; every command that trains one model goes through
+/// here. With `checkpoint`, a resumable checkpoint is written there every
+/// `every` epochs.
+fn train_fresh(
+    opts: &Opts,
+    preset: Preset,
+    train_set: &Dataset,
+    test_set: &Dataset,
+    git_rev: &str,
+    every: usize,
+    checkpoint: Option<&Path>,
+) -> Result<(Network, Artifact), String> {
+    let model = opts.one("model", parse_model)?;
+    let method = opts.one("method", parse_method)?;
+    let seed: u64 = opts.num("seed")?;
+    let epochs: usize = opts.num("epochs")?;
+    hero_obs::Event::new("train_start")
+        .str("model", model.paper_name())
+        .str("method", method.paper_name())
+        .str("preset", preset.paper_name())
+        .u64("epochs", epochs as u64)
+        .human(format!(
+            "training {} with {} for {epochs} epochs on {} ...",
+            model.paper_name(),
+            method.paper_name(),
+            preset.paper_name()
+        ))
+        .emit();
     let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-    if let Some(ckpt) = opts.get("ckpt") {
-        load_params_from_file(&mut net, &PathBuf::from(ckpt)).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("checkpoint_loaded")
-            .str("path", ckpt)
-            .human(format!("loaded checkpoint {ckpt}"))
-            .emit();
-    } else {
-        let method = method_of(opts)?;
-        let epochs: usize = num(opts, "epochs", 20)?;
-        hero_obs::Event::new("train_start")
-            .str("model", model.paper_name())
-            .str("method", method.paper_name())
-            .str("preset", preset.paper_name())
-            .u64("epochs", epochs as u64)
-            .human(format!(
-                "training {} with {} for {epochs} epochs on {} ...",
-                model.paper_name(),
-                method.paper_name(),
-                preset.paper_name()
-            ))
-            .emit();
-        let config = TrainConfig::new(method.tuned(), epochs).with_seed(seed);
-        let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "trained: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-    }
-    Ok((net, preset, train_set, test_set))
+    let meta = RunMeta {
+        model: ModelSpec::Kind(model),
+        model_cfg: model_config(preset),
+        config: TrainConfig::new(method.tuned(), epochs).with_seed(seed),
+        git_rev: git_rev.to_string(),
+        preflight_hash: None,
+    };
+    let (rec, art) =
+        train_to_artifact(&mut net, train_set, test_set, &meta, every, checkpoint).map_err(err)?;
+    report_trained("trained", &rec);
+    Ok((net, art))
 }
 
-fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
+fn report_trained(what: &str, rec: &TrainRecord) {
+    hero_obs::Event::new("train_result")
+        .f64("train_acc", f64::from(rec.final_train_acc))
+        .f64("test_acc", f64::from(rec.final_test_acc))
+        .human(format!(
+            "{what}: train acc {:.2}%, test acc {:.2}%",
+            100.0 * rec.final_train_acc,
+            100.0 * rec.final_test_acc
+        ))
+        .emit();
+}
+
+/// `--artifact` if given, else a freshly trained model.
+fn obtain_model(
+    opts: &Opts,
+    preset: Preset,
+    train_set: &Dataset,
+    test_set: &Dataset,
+) -> Result<(Network, Artifact), String> {
+    match opts.get("artifact") {
+        Some(path) => open_artifact(path),
+        None => train_fresh(opts, preset, train_set, test_set, "unknown", 0, None),
+    }
+}
+
+/// The first `n ≤ 64` training samples, the probe batch of the static
+/// analyses.
+fn probe_batch(
+    train_set: &Dataset,
+    what: &str,
+) -> Result<(hero_tensor::Tensor, Vec<usize>), String> {
+    let n = train_set.len().min(64);
+    if n == 0 {
+        return Err(format!("{what} needs at least one training sample"));
+    }
+    let images = train_set.images.narrow(0, n).map_err(err)?;
+    Ok((images, train_set.labels[..n].to_vec()))
+}
+
+// --- commands ---------------------------------------------------------------
+
+fn cmd_train(opts: &Opts) -> Result<(), String> {
     // The fixed golden-recipe run: shared with the byte-pin regression
     // test and verify.sh, so the three can never disagree on the recipe.
     if let Some(out) = opts.get("golden-recipe") {
         let (train_set, test_set, mut net, meta) = golden_recipe();
-        let (rec, art) = train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None)
-            .map_err(|e| e.to_string())?;
-        save_artifact(&art, PathBuf::from(out)).map_err(|e| e.to_string())?;
+        let (rec, art) =
+            train_to_artifact(&mut net, &train_set, &test_set, &meta, 0, None).map_err(err)?;
+        save_artifact(&art, out).map_err(err)?;
         println!(
             "golden artifact ({} scalars, train acc {:.2}%, test acc {:.2}%) written to {out}",
             art.num_scalars(),
@@ -289,159 +615,62 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
 
-    let save = opts.get("save").map(PathBuf::from);
-    let ckpt_path = opts.get("checkpoint").map(PathBuf::from);
-    let ckpt_every: usize = num(opts, "checkpoint-every", 1)?;
-
-    // Resume a checkpoint artifact: the model, config and trainer state
-    // all come from the file; only the datasets are reloaded, so the
-    // caller must pass the original --preset/--scale.
-    if let Some(resume) = opts.get("resume") {
-        let preset = preset_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let (train_set, test_set) = preset.load(scale);
-        let art = load_artifact(PathBuf::from(resume)).map_err(|e| e.to_string())?;
-        let (rec, final_art, _net) = resume_from_artifact(
-            &art,
-            &train_set,
-            &test_set,
-            ckpt_every,
-            ckpt_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "resumed {resume}: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-        if let Some(out) = &save {
-            save_artifact(&final_art, out).map_err(|e| e.to_string())?;
-            println!("artifact written to {}", out.display());
-        }
-        return Ok(());
-    }
-
-    // Fresh training through the artifact pipeline when any artifact
-    // output is requested.
-    if save.is_some() || ckpt_path.is_some() {
-        let preset = preset_of(opts)?;
-        let model = model_of(opts)?;
-        let method = method_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let seed: u64 = num(opts, "seed", 42)?;
-        let epochs: usize = num(opts, "epochs", 20)?;
-        let (train_set, test_set) = preset.load(scale);
-        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-        let meta = RunMeta {
-            model: ModelSpec::Kind(model),
-            model_cfg: model_config(preset),
-            config: TrainConfig::new(method.tuned(), epochs).with_seed(seed),
-            git_rev: opts
-                .get("git-rev")
-                .cloned()
-                .unwrap_or_else(|| "unknown".into()),
-            preflight_hash: None,
-        };
-        let (rec, art) = train_to_artifact(
-            &mut net,
-            &train_set,
-            &test_set,
-            &meta,
-            ckpt_every,
-            ckpt_path.as_deref(),
-        )
-        .map_err(|e| e.to_string())?;
-        hero_obs::Event::new("train_result")
-            .f64("train_acc", f64::from(rec.final_train_acc))
-            .f64("test_acc", f64::from(rec.final_test_acc))
-            .human(format!(
-                "trained: train acc {:.2}%, test acc {:.2}%",
-                100.0 * rec.final_train_acc,
-                100.0 * rec.final_test_acc
-            ))
-            .emit();
-        if let Some(out) = &save {
-            save_artifact(&art, out).map_err(|e| e.to_string())?;
-            println!("artifact written to {}", out.display());
-        }
-        if let Some(out) = opts.get("out") {
-            save_params_to_file(&net, &PathBuf::from(out)).map_err(|e| e.to_string())?;
-        }
-        return Ok(());
-    }
-
-    let (net, _, _, _) = obtain_model(opts)?;
-    if let Some(out) = opts.get("out") {
-        save_params_to_file(&net, &PathBuf::from(out)).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("checkpoint_written")
-            .str("path", out)
-            .human(format!("checkpoint written to {out}"))
-            .emit();
+    let (preset, train_set, test_set) = datasets(opts)?;
+    let every: usize = opts.num("checkpoint-every")?;
+    let checkpoint = opts.get("checkpoint").map(Path::new);
+    // A resumed run takes model, config and trainer state from the
+    // checkpoint; only the datasets come from --preset/--scale.
+    let art = if let Some(resume) = opts.get("resume") {
+        let ckpt = load_artifact(resume).map_err(err)?;
+        let (rec, art, _) =
+            resume_from_artifact(&ckpt, &train_set, &test_set, every, checkpoint).map_err(err)?;
+        report_trained(&format!("resumed {resume}"), &rec);
+        art
+    } else {
+        let git_rev = opts.get("git-rev").unwrap_or_default();
+        train_fresh(
+            opts, preset, &train_set, &test_set, git_rev, every, checkpoint,
+        )?
+        .1
+    };
+    if let Some(out) = opts.get("save") {
+        save_artifact(&art, out).map_err(err)?;
+        println!("artifact written to {out}");
     }
     Ok(())
 }
 
-fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (mut net, mut loaded, train_set, test_set) = if let Some(path) = opts.get("artifact") {
-        let preset = preset_of(opts)?;
-        let scale: f32 = num(opts, "scale", 0.5)?;
-        let (train_set, test_set) = preset.load(scale);
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        hero_obs::Event::new("artifact_loaded")
-            .str("path", path)
-            .human(format!("loaded artifact {path}"))
-            .emit();
-        (net, Some(art), train_set, test_set)
-    } else {
-        let (net, _, train_set, test_set) = obtain_model(opts)?;
-        (net, None, train_set, test_set)
-    };
+fn cmd_quantize(opts: &Opts) -> Result<(), String> {
+    let bits = opts.list("bits", parse_bits)?;
+    let (preset, train_set, test_set) = datasets(opts)?;
+    let (mut net, mut art) = obtain_model(opts, preset, &train_set, &test_set)?;
     let full_params = net.params();
-    let full_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-        .map_err(|e| e.to_string())?;
+    let full_acc =
+        evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64).map_err(err)?;
     hero_obs::Event::new("quant_eval")
         .str("scheme", "full_precision")
         .f64("accuracy", f64::from(full_acc))
         .human(format!("full precision: test acc {:.2}%", 100.0 * full_acc))
         .emit();
 
-    if let Some(avg) = opts.get("mixed") {
-        let avg: f32 = avg
-            .parse()
-            .map_err(|_| "--mixed: cannot parse".to_string())?;
-        let sens_source = opts.get("sens").map_or("static", String::as_str);
+    if let Some(avg) = opts.parsed::<f32>("mixed")? {
+        let sens_source = opts.get("sens").unwrap_or_default();
         let (bits, sens) = match sens_source {
             // Certified static sensitivity: the analyzer's noise domain
             // bounds each layer's loss impact; the allocator spends the
             // budget against those certificates.
             "static" => {
-                let probe = train_set.len().min(64);
-                if probe == 0 {
-                    return Err("--sens static needs at least one training sample".into());
-                }
-                let images = train_set
-                    .images
-                    .narrow(0, probe)
-                    .map_err(|e| e.to_string())?;
-                let matrix = hero_core::static_sensitivity_matrix(
-                    &mut net,
-                    &images,
-                    &train_set.labels[..probe],
-                    &[2, 4, 8],
-                )
-                .map_err(|e| e.to_string())?;
-                let bits = matrix.allocate(avg, 2, 8).map_err(|e| e.to_string())?;
+                let (images, labels) = probe_batch(&train_set, "--sens static")?;
+                let matrix =
+                    hero_core::static_sensitivity_matrix(&mut net, &images, &labels, &[2, 4, 8])
+                        .map_err(err)?;
+                let bits = matrix.allocate(avg, 2, 8).map_err(err)?;
                 (bits, matrix.to_layer_sensitivities())
             }
             // Gradient-free proxy: curvature 1, range/size allocation only.
             "proxy" => {
                 let sens = network_sensitivities(&net);
-                let bits = allocate_bits(&sens, avg, 2, 8).map_err(|e| e.to_string())?;
+                let bits = allocate_bits(&sens, avg, 2, 8).map_err(err)?;
                 (bits, sens)
             }
             other => return Err(format!("--sens: `{other}` is not static|proxy")),
@@ -456,10 +685,10 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 .human(format!("  {:40} {} bits ({} weights)", s.name, b, s.numel))
                 .emit();
         }
-        let (qp, report) = quantize_params_mixed(&net, &bits).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
+        let (qp, report) = quantize_params_mixed(&net, &bits).map_err(err)?;
+        net.set_params(&qp).map_err(err)?;
+        let acc =
+            evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64).map_err(err)?;
         hero_obs::Event::new("quant_eval")
             .str("scheme", "mixed")
             .f64("avg_bits", f64::from(avg))
@@ -471,23 +700,15 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 report.worst_linf
             ))
             .emit();
-        net.set_params(&full_params).map_err(|e| e.to_string())?;
+        net.set_params(&full_params).map_err(err)?;
     }
 
-    let bits_arg = opts
-        .get("bits")
-        .cloned()
-        .unwrap_or_else(|| "3,4,6,8".into());
-    for token in bits_arg.split(',') {
-        let b: u8 = token
-            .trim()
-            .parse()
-            .map_err(|_| format!("--bits: cannot parse `{token}`"))?;
-        let scheme = QuantScheme::symmetric(b).map_err(|e| e.to_string())?;
-        let (qp, report) = quantize_params(&net, &scheme).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
+    for &b in &bits {
+        let scheme = QuantScheme::symmetric(b).map_err(err)?;
+        let (qp, report) = quantize_params(&net, &scheme).map_err(err)?;
+        net.set_params(&qp).map_err(err)?;
+        let acc =
+            evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64).map_err(err)?;
         hero_obs::Event::new("quant_eval")
             .str("scheme", "uniform")
             .u64("bits", u64::from(b))
@@ -501,7 +722,7 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 report.max_bin_width / 2.0
             ))
             .emit();
-        net.set_params(&full_params).map_err(|e| e.to_string())?;
+        net.set_params(&full_params).map_err(err)?;
     }
 
     // Persist one quantization decision back into the artifact: the
@@ -510,18 +731,14 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
     // dropped — a quantized snapshot is a deployment artifact, not a
     // training state.
     if let Some(out) = opts.get("save") {
-        let Some(art) = loaded.as_mut() else {
-            return Err("--save needs --artifact (a model artifact to quantize)".into());
-        };
-        let first_bits = parse_bits(&bits_arg, "bits")?[0];
-        let b: u8 = num(opts, "save-bits", first_bits)?;
-        let scheme = QuantScheme::symmetric(b).map_err(|e| e.to_string())?;
+        let b = opts.parsed("save-bits")?.unwrap_or(bits[0]);
+        let scheme = QuantScheme::symmetric(b).map_err(err)?;
         let infos = net.param_infos();
         let mut quantized = Vec::with_capacity(full_params.len());
         let mut entries = Vec::new();
         for (p, info) in full_params.iter().zip(&infos) {
             if info.kind.is_quantizable() {
-                let q = quantize_tensor(p, &scheme).map_err(|e| e.to_string())?;
+                let q = quantize_tensor(p, &scheme).map_err(err)?;
                 entries.push(QuantEntry {
                     name: info.name.clone(),
                     bits: b,
@@ -533,71 +750,48 @@ fn cmd_quantize(opts: &HashMap<String, String>) -> Result<(), String> {
                 quantized.push(p.clone());
             }
         }
-        attach_quant(art, &quantized, entries);
+        attach_quant(&mut art, &quantized, entries);
         art.resume = None;
-        save_artifact(art, PathBuf::from(out)).map_err(|e| e.to_string())?;
+        save_artifact(&art, out).map_err(err)?;
         println!("quantized artifact ({b}-bit weights) written to {out}");
     }
     Ok(())
 }
 
-fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.5)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let (train_set, _) = preset.load(scale);
-    let mut loaded: Option<Artifact> = None;
-    let mut net = if let Some(path) = opts.get("artifact") {
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        loaded = Some(art);
-        net
-    } else {
-        let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
-        if let Some(ckpt) = opts.get("ckpt") {
-            load_params_from_file(&mut net, &PathBuf::from(ckpt)).map_err(|e| e.to_string())?;
+fn cmd_preflight(opts: &Opts) -> Result<(), String> {
+    let bits = opts.list("bits", parse_bits)?;
+    let (preset, train_set, _) = datasets(opts)?;
+    let (mut net, mut loaded, model_name) = match opts.get("artifact") {
+        Some(path) => {
+            let (net, art) = open_artifact(path)?;
+            let name = artifact_model_name(&art);
+            (net, Some(art), name)
         }
-        net
+        None => {
+            let model = opts.one("model", parse_model)?;
+            let seed: u64 = opts.num("seed")?;
+            let net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
+            (net, None, model.paper_name())
+        }
     };
-    let bits_arg = opts.get("bits").cloned().unwrap_or_else(|| "3,4,8".into());
-    let bits = parse_bits(&bits_arg, "bits")?;
-    let probe = train_set.len().min(64);
-    if probe == 0 {
-        return Err("preflight needs at least one sample".into());
-    }
-    let images = train_set
-        .images
-        .narrow(0, probe)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe];
+    let (images, labels) = probe_batch(&train_set, "preflight")?;
+    let labels = &labels[..];
 
     // Quantization-noise configuration: `--noise-bits N` seeds every
     // weight uniformly; `--mixed AVG` first computes the certified static
     // sensitivity matrix, allocates per-layer widths against it, and
     // seeds the allocation. Either way the report (and dot overlay)
     // carries certified per-node error bounds.
-    let budget: Option<f32> = match opts.get("budget") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| "--budget: cannot parse".to_string())?,
-        ),
-    };
+    let budget: Option<f32> = opts.parsed("budget")?;
     let mut noise_cfg: Option<NoiseConfig> = None;
-    if let Some(avg) = opts.get("mixed") {
-        let avg: f32 = avg
-            .parse()
-            .map_err(|_| "--mixed: cannot parse".to_string())?;
+    if let Some(avg) = opts.parsed::<f32>("mixed")? {
         let mut grid = bits.clone();
         grid.sort_unstable();
         grid.dedup();
-        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &grid)
-            .map_err(|e| e.to_string())?;
+        let matrix =
+            hero_core::static_sensitivity_matrix(&mut net, &images, labels, &grid).map_err(err)?;
         let max_b = grid.last().copied().unwrap_or(8);
-        let alloc = matrix
-            .allocate(avg, grid[0].min(2), max_b)
-            .map_err(|e| e.to_string())?;
+        let alloc = matrix.allocate(avg, grid[0].min(2), max_b).map_err(err)?;
         println!("certified static sensitivity (err[layer][bits], avg {avg}-bit allocation):");
         for (l, layer) in matrix.layers.iter().enumerate() {
             let cells: Vec<String> = grid
@@ -613,12 +807,9 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
             );
         }
         noise_cfg = Some(NoiseConfig::per_layer(alloc));
-    } else if let Some(nb) = opts.get("noise-bits") {
-        let nb: u8 = nb
-            .parse()
-            .map_err(|_| "--noise-bits: cannot parse".to_string())?;
-        let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[nb])
-            .map_err(|e| e.to_string())?;
+    } else if let Some(nb) = opts.parsed::<u8>("noise-bits")? {
+        let matrix =
+            hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[nb]).map_err(err)?;
         println!("certified per-layer loss-error bounds at {nb} bits:");
         for layer in &matrix.layers {
             println!("  {:40} err ≤ {:.3e}", layer.name, layer.err[0]);
@@ -641,22 +832,15 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
         noise_cfg.as_ref(),
         true,
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(err)?;
 
-    let out_dir = PathBuf::from(
-        opts.get("out-dir")
-            .cloned()
-            .unwrap_or_else(|| "results/analyze".into()),
-    );
-    std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-    let stem = format!("{}_{}", model.paper_name(), preset.paper_name())
-        .to_lowercase()
-        .replace(['/', ' ', '-'], "_");
+    let out_dir = PathBuf::from(opts.get("out-dir").unwrap_or_default());
+    std::fs::create_dir_all(&out_dir).map_err(err)?;
+    let stem = report_stem(model_name, preset);
     let txt_path = out_dir.join(format!("{stem}.txt"));
-    std::fs::write(&txt_path, format!("{report}\n")).map_err(|e| e.to_string())?;
+    std::fs::write(&txt_path, format!("{report}\n")).map_err(err)?;
     if let Some(dot) = dot {
-        let dot_path = out_dir.join(format!("{stem}.dot"));
-        std::fs::write(&dot_path, dot).map_err(|e| e.to_string())?;
+        std::fs::write(out_dir.join(format!("{stem}.dot")), dot).map_err(err)?;
     }
 
     let errors = report.errors().count();
@@ -672,12 +856,9 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
         report.nodes,
         txt_path.display()
     );
-    if let Some(stamp) = opts.get("stamp") {
-        let Some(art) = loaded.as_mut() else {
-            return Err("--stamp needs --artifact (an artifact to annotate)".into());
-        };
+    if let (Some(stamp), Some(art)) = (opts.get("stamp"), loaded.as_mut()) {
         art.set_meta("provenance.preflight_hash", MetaValue::U64(hash));
-        save_artifact(art, PathBuf::from(stamp)).map_err(|e| e.to_string())?;
+        save_artifact(art, stamp).map_err(err)?;
         println!("preflight hash stamped into {stamp}");
     }
     if errors > 0 || warnings > 0 {
@@ -705,37 +886,20 @@ fn cmd_preflight(opts: &HashMap<String, String>) -> Result<(), String> {
 /// additionally writes the per-layer×bits domain-comparison artifact
 /// (interval width, zonotope width, ratio) and fails if the raw
 /// un-clamped sensitivity matrix is rank-constant on a multi-layer model.
-fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.25)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let epochs: usize = num(opts, "epochs", 3)?;
-    let trials: usize = num(opts, "trials", 2)?;
-    let avg: f32 = num(opts, "avg", 4.0)?;
-    let min_overlap: f32 = num(opts, "min-overlap", 0.0)?;
-    let bits_arg = opts.get("bits").cloned().unwrap_or_else(|| "2,4,8".into());
-    let grid = parse_bits(&bits_arg, "bits")?;
-    let models_arg = opts
-        .get("models")
-        .cloned()
-        .unwrap_or_else(|| "resnet,mobilenet,vgg".into());
-    let out_path = PathBuf::from(
-        opts.get("out")
-            .cloned()
-            .unwrap_or_else(|| "results/analyze/noise_crosscheck.json".into()),
-    );
+fn cmd_noise_crosscheck(opts: &Opts) -> Result<(), String> {
+    let seed: u64 = opts.num("seed")?;
+    let epochs: usize = opts.num("epochs")?;
+    let trials: usize = opts.num("trials")?;
+    let avg: f32 = opts.num("avg")?;
+    let min_overlap: f32 = opts.num("min-overlap")?;
+    let grid = opts.list("bits", parse_bits)?;
+    let models = opts.list("models", parse_model)?;
+    let out_path = PathBuf::from(opts.get("out").unwrap_or_default());
     let tightness_path = opts.get("tightness").map(PathBuf::from);
 
-    let (train_set, test_set) = preset.load(scale);
-    let probe = train_set.len().min(64);
-    if probe == 0 {
-        return Err("noise-crosscheck needs at least one training sample".into());
-    }
-    let images = train_set
-        .images
-        .narrow(0, probe)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe];
+    let (preset, train_set, test_set) = datasets(opts)?;
+    let (images, labels) = probe_batch(&train_set, "noise-crosscheck")?;
+    let labels = &labels[..];
 
     let mut json = String::from("{\n");
     let _ = write!(
@@ -755,18 +919,12 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
     let mut rank_constant_models: Vec<String> = Vec::new();
     let mut tightness_json = String::from("{\n  \"models\": [\n");
     let mut first_model = true;
-    for token in models_arg.split(',') {
-        let model = match token.trim() {
-            "resnet" => ModelKind::Resnet,
-            "mobilenet" => ModelKind::Mobilenet,
-            "vgg" => ModelKind::Vgg,
-            other => return Err(format!("--models: unknown model `{other}`")),
-        };
+    for model in models {
         let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
         let config = TrainConfig::new(MethodKind::Sgd.tuned(), epochs).with_seed(seed);
-        let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
+        let rec = train(&mut net, &train_set, &test_set, &config).map_err(err)?;
         let report = hero_core::noise_crosscheck(&mut net, &images, labels, &grid, trials, seed)
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
         total_violations += report.violations;
 
         // Static-matrix mixed allocation vs uniform at equal average bits.
@@ -782,22 +940,19 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             worst_overlap = worst_overlap.min(report.overlap);
         }
         let max_b = grid.last().copied().unwrap_or(8);
-        let alloc = matrix
-            .allocate(avg, grid[0].min(2), max_b)
-            .map_err(|e| e.to_string())?;
+        let alloc = matrix.allocate(avg, grid[0].min(2), max_b).map_err(err)?;
         let full = net.params();
-        let (qp, _) = quantize_params_mixed(&net, &alloc).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let mixed_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
-        net.set_params(&full).map_err(|e| e.to_string())?;
-        let uniform_scheme =
-            QuantScheme::symmetric(avg.round() as u8).map_err(|e| e.to_string())?;
-        let (qp, _) = quantize_params(&net, &uniform_scheme).map_err(|e| e.to_string())?;
-        net.set_params(&qp).map_err(|e| e.to_string())?;
-        let uniform_acc = evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64)
-            .map_err(|e| e.to_string())?;
-        net.set_params(&full).map_err(|e| e.to_string())?;
+        let (qp, _) = quantize_params_mixed(&net, &alloc).map_err(err)?;
+        net.set_params(&qp).map_err(err)?;
+        let mixed_acc =
+            evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64).map_err(err)?;
+        net.set_params(&full).map_err(err)?;
+        let uniform_scheme = QuantScheme::symmetric(avg.round() as u8).map_err(err)?;
+        let (qp, _) = quantize_params(&net, &uniform_scheme).map_err(err)?;
+        net.set_params(&qp).map_err(err)?;
+        let uniform_acc =
+            evaluate_accuracy(&mut net, &test_set.images, &test_set.labels, 64).map_err(err)?;
+        net.set_params(&full).map_err(err)?;
 
         // Domain-tightness audit: every zonotope-tightened cell must sit
         // inside its interval-domain cell, and the raw (un-clamped)
@@ -938,10 +1093,7 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             worst_overlap
         })
     );
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| e.to_string())?;
+    write_creating_dirs(&out_path, &json)?;
     println!("noise crosscheck written to {}", out_path.display());
     if let Some(path) = &tightness_path {
         let _ = write!(
@@ -949,10 +1101,7 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
             "\n  ],\n  \"widened_cells\": {widened_cells},\n  \
              \"rank_constant_models\": {rank_constant_models:?}\n}}\n"
         );
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        }
-        std::fs::write(path, &tightness_json).map_err(|e| e.to_string())?;
+        write_creating_dirs(path, &tightness_json)?;
         println!("domain-tightness artifact written to {}", path.display());
     }
 
@@ -994,6 +1143,14 @@ fn cmd_noise_crosscheck(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes `contents` to `path`, creating its parent directories.
+fn write_creating_dirs(path: &Path, contents: &str) -> Result<(), String> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(err)?;
+    }
+    std::fs::write(path, contents).map_err(err)
+}
+
 /// Formats a float as a JSON number through the obs sink's canonical
 /// encoder: non-finite values become `null` (NaN/inf literals are not
 /// valid JSON and silently poison every downstream parser).
@@ -1007,79 +1164,53 @@ fn jnum(v: f32) -> String {
 /// the Spearman rank correlation between the empirical quantizable-layer
 /// trace ranking and the certified static sensitivity ranking, prints an
 /// ASCII density plot, and rolls everything into one JSON artifact.
-fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
-    let preset = preset_of(opts)?;
-    let model = model_of(opts)?;
-    let scale: f32 = num(opts, "scale", 0.25)?;
-    let seed: u64 = num(opts, "seed", 42)?;
-    let epochs: usize = num(opts, "epochs", 3)?;
-    let steps: usize = num(opts, "steps", 10)?;
-    let probes: usize = num(opts, "probes", 4)?;
-    let bits: u8 = num(opts, "bits", 4)?;
-    let every: usize = num(opts, "spectrum-every", 1)?;
-    let methods_arg = opts
-        .get("methods")
-        .cloned()
-        .unwrap_or_else(|| "sgd,hero".into());
-    let stem = format!("{}_{}", model.paper_name(), preset.paper_name())
-        .to_lowercase()
-        .replace(['/', ' ', '-'], "_");
-    let out_path = PathBuf::from(
-        opts.get("out")
-            .cloned()
-            .unwrap_or_else(|| format!("results/SPECTRUM_{stem}.json")),
-    );
+fn cmd_spectrum(opts: &Opts) -> Result<(), String> {
+    let seed: u64 = opts.num("seed")?;
+    let epochs: usize = opts.num("epochs")?;
+    let steps: usize = opts.num("steps")?;
+    let probes: usize = opts.num("probes")?;
+    let bits: u8 = opts.num("bits")?;
+    let every: usize = opts.num("spectrum-every")?;
+    let methods = opts.list("methods", parse_method)?;
+    let (preset, train_set, test_set) = datasets(opts)?;
+    let (images, labels) = probe_batch(&train_set, "spectrum")?;
+    let labels = &labels[..];
 
-    let (train_set, test_set) = preset.load(scale);
-    let probe_n = train_set.len().min(64);
-    if probe_n == 0 {
-        return Err("spectrum needs at least one training sample".into());
-    }
-    let images = train_set
-        .images
-        .narrow(0, probe_n)
-        .map_err(|e| e.to_string())?;
-    let labels = &train_set.labels[..probe_n];
-
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"preset\": \"{}\",\n  \"model\": \"{}\",\n  \"epochs\": {epochs},\n  \
-         \"steps\": {steps},\n  \"probes\": {probes},\n  \"sens_bits\": {bits},\n  \
-         \"methods\": [\n",
-        preset.paper_name(),
-        model.paper_name()
-    );
     // Either probe one saved model artifact (no retraining — the weights
     // and per-epoch spectrum trajectory both come from the file) or train
     // each requested method fresh.
     let mut runs: Vec<(String, Network, TrainRecord)> = Vec::new();
-    if let Some(path) = opts.get("artifact") {
-        let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
-        let name = art
-            .meta_str("train.method.kind")
-            .unwrap_or("artifact")
-            .to_string();
-        let net = network_from_artifact(&art).map_err(|e| e.to_string())?;
-        let rec = record_from_artifact(&art).map_err(|e| e.to_string())?;
-        runs.push((name, net, rec));
+    let model_name = if let Some(path) = opts.get("artifact") {
+        let (net, art) = open_artifact(path)?;
+        let name = art.meta_str("train.method.kind").unwrap_or("artifact");
+        let rec = record_from_artifact(&art).map_err(err)?;
+        runs.push((name.to_string(), net, rec));
+        artifact_model_name(&art)
     } else {
-        for token in methods_arg.split(',') {
-            let method = match token.trim() {
-                "hero" => MethodKind::Hero,
-                "sam" | "first-order" => MethodKind::FirstOrder,
-                "gradl1" => MethodKind::GradL1,
-                "sgd" => MethodKind::Sgd,
-                other => return Err(format!("--methods: unknown method `{other}`")),
-            };
+        let model = opts.one("model", parse_model)?;
+        for method in methods {
             let mut net = model.build(model_config(preset), &mut StdRng::seed_from_u64(seed));
             let config = TrainConfig::new(method.tuned(), epochs)
                 .with_seed(seed)
                 .with_spectrum_every(every);
-            let rec = train(&mut net, &train_set, &test_set, &config).map_err(|e| e.to_string())?;
+            let rec = train(&mut net, &train_set, &test_set, &config).map_err(err)?;
             runs.push((method.paper_name().to_string(), net, rec));
         }
-    }
+        model.paper_name()
+    };
+    let out_path = PathBuf::from(opts.get("out").map_or_else(
+        || format!("results/SPECTRUM_{}.json", report_stem(model_name, preset)),
+        str::to_string,
+    ));
+
+    let mut json = String::from("{\n");
+    let _ = write!(
+        json,
+        "  \"preset\": \"{}\",\n  \"model\": \"{model_name}\",\n  \"epochs\": {epochs},\n  \
+         \"steps\": {steps},\n  \"probes\": {probes},\n  \"sens_bits\": {bits},\n  \
+         \"methods\": [\n",
+        preset.paper_name(),
+    );
     let mut first_method = true;
     for (name, mut net, rec) in runs {
         // Deep final probe. Unlike the trainer's epoch probe this keeps the
@@ -1096,14 +1227,14 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
                 grid_points: 32,
                 ..SlqConfig::default()
             };
-            let density = slq_density(&mut oracle, &params, cfg).map_err(|e| e.to_string())?;
-            let traces = layer_traces(&mut oracle, &params, probes, 1e-3, seed ^ 0x7ACE)
-                .map_err(|e| e.to_string())?;
+            let density = slq_density(&mut oracle, &params, cfg).map_err(err)?;
+            let traces =
+                layer_traces(&mut oracle, &params, probes, 1e-3, seed ^ 0x7ACE).map_err(err)?;
             (density, traces)
         };
         // The oracle leaves its last-evaluated (perturbed) parameters
         // installed; restore before anything else touches the network.
-        net.set_params(&params).map_err(|e| e.to_string())?;
+        net.set_params(&params).map_err(err)?;
 
         // Empirical-vs-static sensitivity ranking over quantizable layers.
         // Both sides are per-weight curvature magnitudes: the measured
@@ -1111,7 +1242,7 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
         // projection (raw `err` cells can all clamp at the analyzer's
         // loss-interval ceiling, which would make the ranking constant).
         let matrix = hero_core::static_sensitivity_matrix(&mut net, &images, labels, &[bits])
-            .map_err(|e| e.to_string())?;
+            .map_err(err)?;
         let sens = matrix.to_layer_sensitivities();
         let mut empirical = Vec::new();
         let mut certified = Vec::new();
@@ -1226,24 +1357,22 @@ fn cmd_spectrum(opts: &HashMap<String, String>) -> Result<(), String> {
         json.push_str("      ]\n    }");
     }
     json.push_str("\n  ]\n}\n");
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    std::fs::write(&out_path, &json).map_err(|e| e.to_string())?;
+    write_creating_dirs(&out_path, &json)?;
     println!("spectrum artifact written to {}", out_path.display());
     Ok(())
 }
 
-fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
-    let (mut net, _, train_set, _) = obtain_model(opts)?;
+fn cmd_analyze(opts: &Opts) -> Result<(), String> {
+    let (preset, train_set, test_set) = datasets(opts)?;
+    let (mut net, _) = obtain_model(opts, preset, &train_set, &test_set)?;
     let n = train_set.len().min(128);
-    let images = train_set.images.narrow(0, n).map_err(|e| e.to_string())?;
+    let images = train_set.images.narrow(0, n).map_err(err)?;
     let labels = train_set.labels[..n].to_vec();
     let params = net.params();
     let nonzeros: usize = params.iter().map(|p| p.norm_l0()).sum();
     let mut oracle = BatchOracle::new(&mut net, &images, &labels);
-    let (loss, grads) = oracle.grad(&params).map_err(|e| e.to_string())?;
-    let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3).map_err(|e| e.to_string())?;
+    let (loss, grads) = oracle.grad(&params).map_err(err)?;
+    let (hz, _) = hessian_norm_probe(&mut oracle, &params, 1e-3).map_err(err)?;
     let spectrum = lanczos_spectrum(
         &mut oracle,
         &params,
@@ -1251,7 +1380,7 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
         1e-3,
         &mut StdRng::seed_from_u64(0),
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(err)?;
     let bounds = BoundInputs {
         grad_l2: global_norm_l2(&grads),
         grad_l1: global_norm_l1(&grads),
@@ -1295,11 +1424,98 @@ fn cmd_analyze(opts: &HashMap<String, String>) -> Result<(), String> {
 /// `hero artifact inspect --path FILE`: decodes an artifact (verifying
 /// magic, version and checksum on the way in) and prints its meta,
 /// tensor inventory, quantization decision and resume state.
-fn cmd_artifact_inspect(opts: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_artifact_inspect(opts: &Opts) -> Result<(), String> {
     let path = opts
         .get("path")
-        .ok_or_else(|| "artifact inspect needs --path FILE".to_string())?;
-    let art = load_artifact(PathBuf::from(path)).map_err(|e| e.to_string())?;
+        .ok_or("artifact inspect needs --path FILE.ha")?;
+    let art = load_artifact(path).map_err(err)?;
     print!("{}", art.describe());
+    Ok(())
+}
+
+/// `hero repro <target>`: regenerates one table or figure of the paper at
+/// the full reproduction scale, or the smoke scale with `--fast`.
+fn cmd_repro(opts: &Opts) -> Result<(), String> {
+    let fast = opts.given("fast");
+    let scale = hero_bench::scale(fast);
+    let cache = opts.get("artifact-dir").map(Path::new);
+    if cache.is_some() && opts.operand != "c10-row" {
+        return Err("--artifact-dir applies to `hero repro c10-row` only".into());
+    }
+    match opts.operand {
+        "table1" => {
+            banner("Table 1 (test accuracy)", scale);
+            let (table, _) = run_table1(&table1_matrix(), scale).map_err(err)?;
+            emit_artifact("table1", render_table1(&table));
+        }
+        "table2" => {
+            banner("Table 2 (noisy-label training)", scale);
+            for model in [ModelKind::Resnet, ModelKind::Mobilenet] {
+                let table = run_table2(model, &[0.2, 0.4, 0.6, 0.8], scale).map_err(err)?;
+                emit_artifact(
+                    &format!("table2_{}", model.paper_name()),
+                    render_table2(&table),
+                );
+            }
+        }
+        "table3" => {
+            banner("Table 3 (Hessian-term ablation)", scale);
+            let table = run_table3(scale).map_err(err)?;
+            emit_artifact("table3", render_table3(&table));
+        }
+        "fig1" => {
+            banner("Fig. 1 (post-training quantization sweeps)", scale);
+            table1_with_fig1(&table1_matrix(), scale, "table1", None)?;
+        }
+        "fig2" => {
+            banner("Fig. 2 (Hessian norm and generalization gap)", scale);
+            let fig = run_fig2(scale).map_err(err)?;
+            emit_artifact("fig2", render_fig2(&fig));
+        }
+        "fig3" => {
+            banner("Fig. 3 (loss contours)", scale);
+            let fig = run_fig3(scale, 1.0, if fast { 11 } else { 17 }).map_err(err)?;
+            emit_artifact("fig3", render_fig3(&fig));
+        }
+        "c10-row" => {
+            banner("Table 1 / Fig. 1, CIFAR-10 row", scale);
+            let row =
+                [ModelKind::Resnet, ModelKind::Mobilenet, ModelKind::Vgg].map(|m| (Preset::C10, m));
+            table1_with_fig1(&row, scale, "table1_c10_row", cache)?;
+        }
+        other => unreachable!("`{other}` is not in REPRO_TARGETS"),
+    }
+    Ok(())
+}
+
+/// Trains Table 1 over `matrix`, then sweeps each cell's models across
+/// the Fig. 1 bit widths. With `cache`, every cell is backed by the
+/// model-artifact cache in that directory: a warm cache reproduces the
+/// output from saved weights without retraining.
+fn table1_with_fig1(
+    matrix: &[(Preset, ModelKind)],
+    scale: Scale,
+    table_name: &str,
+    cache: Option<&Path>,
+) -> Result<(), String> {
+    let (table, mut models) = match cache {
+        Some(dir) => run_table1_cached(matrix, scale, dir),
+        None => run_table1(matrix, scale),
+    }
+    .map_err(err)?;
+    emit_artifact(table_name, render_table1(&table));
+    let bits = fig1_bits();
+    for ((preset, model), cell) in matrix.iter().zip(models.iter_mut()) {
+        let (_, test_set) = preset.load(scale.data);
+        let curves = cell
+            .iter_mut()
+            .map(|t| quant_sweep(t, &test_set, &bits))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(err)?;
+        emit_artifact(
+            &format!("fig1_{}_{}", preset.paper_name(), model.paper_name()),
+            render_fig1_panel(preset.paper_name(), model.paper_name(), &curves),
+        );
+    }
     Ok(())
 }

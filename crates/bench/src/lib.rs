@@ -1,17 +1,18 @@
 //! # hero-bench
 //!
-//! Benchmarks and reproduction binaries for the HERO (DAC 2022)
-//! reproduction. The `repro_*` binaries regenerate every table and figure
-//! of the paper's evaluation section (see DESIGN.md §3 for the index);
-//! the plain-`fn main()` harnesses under `benches/` measure component
-//! costs (the per-step overhead of each training method, quantization
-//! throughput, curvature-probe cost) with the in-tree [`timing`] module —
-//! no external bench framework, so everything builds offline.
+//! The `hero` command-line binary and the benchmarks of the HERO (DAC
+//! 2022) reproduction. `hero repro <target>` regenerates every table and
+//! figure of the paper's evaluation section (see DESIGN.md §3 for the
+//! index); the plain-`fn main()` harnesses under `benches/` measure
+//! component costs (the per-step overhead of each training method,
+//! quantization throughput, curvature-probe cost) with the in-tree
+//! [`timing`] module — no external bench framework, so everything builds
+//! offline.
 //!
-//! Run a reproduction binary with:
+//! Reproduce a table or figure with:
 //!
 //! ```text
-//! cargo run --release -p hero-bench --bin repro_table1 [-- --fast]
+//! cargo run --release -p hero-bench --bin hero -- repro table1 [--fast]
 //! ```
 //!
 //! and a bench with:
@@ -26,19 +27,18 @@ use hero_core::experiment::Scale;
 
 pub mod timing;
 
-/// Parses the common `--fast` flag used by every reproduction binary.
-///
-/// `--fast` selects the smoke-test scale; anything else (or nothing) runs
-/// the full reproduction scale recorded in EXPERIMENTS.md.
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--fast") {
+/// The scale of a `hero repro` run: `--fast` selects the smoke-test
+/// scale; without it the run uses the full reproduction scale recorded in
+/// EXPERIMENTS.md.
+pub fn scale(fast: bool) -> Scale {
+    if fast {
         Scale::fast()
     } else {
         Scale::full()
     }
 }
 
-/// Emits the standard header for a reproduction binary: a `banner` event
+/// Emits the standard header of a `hero repro` run: a `banner` event
 /// whose human rendering is the familiar console header.
 pub fn banner(what: &str, scale: Scale) {
     hero_obs::Event::new("banner")
@@ -71,8 +71,7 @@ mod tests {
 
     #[test]
     fn default_scale_is_full() {
-        // Test binaries never pass --fast, so this exercises the default arm.
-        let s = scale_from_args();
-        assert_eq!(s.data, Scale::full().data);
+        assert_eq!(scale(false), Scale::full());
+        assert_eq!(scale(true), Scale::fast());
     }
 }

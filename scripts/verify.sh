@@ -56,7 +56,7 @@ done
 sha256sum tests/golden/c10_resnet_hero_smoke.ha
 rm -f results/artifacts/golden_t1.ha results/artifacts/golden_t4.ha
 
-echo "==> artifact pipeline smoke (train --save -> inspect -> preflight -> quantize)"
+echo "==> artifact pipeline smoke (train --save -> inspect -> analyze -> preflight -> quantize)"
 # Drives the deterministic artifact pipeline end to end on the smoke
 # preset and leaves the artifacts in results/artifacts/ for upload: a
 # trained model, the preflight-stamped copy, and a 4-bit quantized
@@ -70,6 +70,8 @@ cargo run --release -p hero-bench --bin hero -- \
 cargo run --release -p hero-bench --bin hero -- \
   artifact inspect --path results/artifacts/model.ha
 cargo run --release -p hero-bench --bin hero -- \
+  analyze --preset c10 --scale 0.25 --artifact results/artifacts/model.ha
+cargo run --release -p hero-bench --bin hero -- \
   preflight --preset c10 --scale 0.25 --artifact results/artifacts/model.ha \
   --stamp results/artifacts/model_stamped.ha --out-dir results/analyze
 cargo run --release -p hero-bench --bin hero -- \
@@ -77,6 +79,9 @@ cargo run --release -p hero-bench --bin hero -- \
   --bits 3,4,8 --save results/artifacts/model_int4.ha --save-bits 4
 cargo run --release -p hero-bench --bin hero -- \
   artifact inspect --path results/artifacts/model_int4.ha
+
+echo "==> paper reproduction smoke (hero repro fig2 --fast)"
+cargo run --release -p hero-bench --bin hero -- repro fig2 --fast
 
 echo "==> pre-flight analyzer over the example networks"
 mkdir -p results/analyze
