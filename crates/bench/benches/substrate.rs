@@ -8,18 +8,19 @@
 //!   the 400-image C10 test split (batch 64) on a freshly built model.
 //!
 //! Writes `results/BENCH_substrate.json` (override with `HERO_BENCH_OUT`);
-//! each row carries `budget_ms`, `cores` and `simd_gemm` (1 when the AVX2+FMA
-//! GEMM kernel is active).
+//! each row carries `budget_ms`, `cores`, `simd_gemm` (1 when the AVX2+FMA
+//! GEMM kernel is active) and `median_of` (see
+//! [`hero_bench::timing::with_fingerprint`]).
 
 use hero_autodiff::Graph;
-use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json};
+use hero_bench::timing::{bench_out_path, default_budget, time_op, with_fingerprint, write_json};
 use hero_core::experiment::model_config;
 use hero_data::{Preset, SynthGenerator, SynthSpec};
 use hero_landscape::{filter_normalized_direction, scan_2d};
 use hero_nn::evaluate_accuracy;
 use hero_nn::models::ModelKind;
 use hero_tensor::rng::StdRng;
-use hero_tensor::{ConvGeometry, GemmKernel, Tensor};
+use hero_tensor::{ConvGeometry, Tensor};
 
 fn main() {
     let budget = default_budget();
@@ -94,17 +95,7 @@ fn main() {
         ));
     }
 
-    // Every row records the budget and machine it ran under.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let simd = hero_tensor::active_gemm_kernel() == GemmKernel::Avx2Fma;
-    let rows: Vec<_> = rows
-        .into_iter()
-        .map(|r| {
-            r.with_extra("budget_ms", budget.as_millis() as f64)
-                .with_extra("cores", cores as f64)
-                .with_extra("simd_gemm", f64::from(u8::from(simd)))
-        })
-        .collect();
+    let rows = with_fingerprint(rows, budget);
     let out = bench_out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/BENCH_substrate.json"

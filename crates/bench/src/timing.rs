@@ -137,6 +137,23 @@ pub fn time_op(name: &str, budget: Duration, mut f: impl FnMut()) -> BenchRow {
     row
 }
 
+/// Tags every row with the conditions it was measured under: the per-op
+/// `budget_ms`, the machine's `cores`, `simd_gemm` (1 when the AVX2+FMA
+/// GEMM kernel is active) and `median_of` (1 for a single run; committed
+/// files that hold per-row medians of several runs record how many).
+pub fn with_fingerprint(rows: Vec<BenchRow>, budget: Duration) -> Vec<BenchRow> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let simd = hero_tensor::active_gemm_kernel() == hero_tensor::GemmKernel::Avx2Fma;
+    rows.into_iter()
+        .map(|r| {
+            r.with_extra("budget_ms", budget.as_millis() as f64)
+                .with_extra("cores", cores as f64)
+                .with_extra("simd_gemm", f64::from(u8::from(simd)))
+                .with_extra("median_of", 1.0)
+        })
+        .collect()
+}
+
 /// Serializes rows as a JSON array of `{name, iters, ns_per_iter, ...}`
 /// objects through the shared `hero_obs::json` writer.
 pub fn to_json(rows: &[BenchRow]) -> String {
@@ -222,6 +239,17 @@ mod tests {
         let v = parse(&row.to_json()).expect("parses");
         assert_eq!(v.get("pool_hit_rate").and_then(Value::as_f64), Some(0.75));
         assert_eq!(v.get("gemm_flops").and_then(Value::as_f64), Some(1024.0));
+    }
+
+    #[test]
+    fn fingerprint_tags_every_row() {
+        let rows = vec![BenchRow::default(), BenchRow::default()];
+        for row in with_fingerprint(rows, Duration::from_millis(200)) {
+            let keys: Vec<&str> = row.extras.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["budget_ms", "cores", "simd_gemm", "median_of"]);
+            assert_eq!(row.extras[0].1, 200.0);
+            assert!(row.extras[1].1 >= 1.0);
+        }
     }
 
     #[test]

@@ -32,8 +32,10 @@ pub struct TrainConfig {
     pub probe_every: usize,
     /// Take a full spectrum probe (SLQ density summary + per-layer
     /// Hutchinson traces, see [`crate::spectrum`]) every `spectrum_every`
-    /// epochs; 0 (the default) disables it — each probe costs dozens of
-    /// gradient evaluations, so it is strictly opt-in telemetry.
+    /// epochs; 0 (the default) disables it — each probe costs
+    /// `slq_probes·(steps + 1) + trace_probes + 1` gradient evaluations
+    /// (27 under the default [`crate::SpectrumOptions`], whatever the
+    /// tensor count), so it is strictly opt-in telemetry.
     pub spectrum_every: usize,
     /// Seed for batching/augmentation randomness.
     pub seed: u64,

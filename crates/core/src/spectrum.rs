@@ -6,10 +6,34 @@
 //! a Hutchinson trace per parameter tensor (the HeRo-Q quantization-
 //! sensitivity proxy). The trainer takes one every
 //! [`crate::TrainConfig::spectrum_every`] epochs (off by default: each
-//! probe costs `slq_probes·steps + trace_probes·n_layers + 1` gradient
-//! evaluations), emits it as `spectrum` / `spectrum_layer` JSONL events
-//! and records it into the `hero-obs` series registry, so traced runs roll
-//! the whole trajectory into `SUMMARY_<run>.json`.
+//! probe costs `slq_probes·(steps + 1) + trace_probes + 1` gradient
+//! evaluations, 27 under [`SpectrumOptions::default`]), emits it as
+//! `spectrum` / `spectrum_layer` JSONL events and records it into the
+//! `hero-obs` series registry, so traced runs roll the whole trajectory
+//! into `SUMMARY_<run>.json`.
+//!
+//! The per-layer traces share their probes: each trace probe is one
+//! Rademacher vector over every parameter and one HVP, read out block by
+//! block ([`hero_hessian::layer_traces`]), so their cost does not grow
+//! with the tensor count. Sharing trades gradient evaluations for
+//! cross-block noise. Seed-sd over 12 probe seeds of models trained with
+//! HERO for 8 epochs from training seeds 0/1/2 (batch 64; RSS is the
+//! root-sum-square of the per-tensor seed-sds; DESIGN.md §15 and
+//! `results/TRACE_ESTIMATORS.json`), against the per-tensor masked probes
+//! this replaced:
+//!
+//! | model | estimator | grad evals | global-trace seed-sd | RSS over layers |
+//! |---|---|---|---|---|
+//! | VGG (16 tensors) | masked ×2 | 33 | 61.7 / 119.8 / 27.0 | 64.1 / 113.9 / 23.0 |
+//! | VGG | shared ×8 | 9 | 92.9 / 100.0 / 20.6 | 86.8 / 102.6 / 24.5 |
+//! | ResNet (29 tensors) | masked ×2 | 59 | 68.2 / 133.1 / 30.0 | 63.3 / 124.8 / 36.2 |
+//! | ResNet | shared ×8 | 9 | 34.8 / 50.8 / 39.4 | 26.6 / 85.4 / 39.4 |
+//!
+//! At equal cost (2 shared probes per tensor) the shared spread is
+//! 1.4–5.7× tighter on every model. At the default 8 it is tighter on four
+//! of six models and up to 1.5× wider on two, a difference 12 seeds cannot
+//! resolve. Small BN γ/β and bias tensors pay: their conv neighbours'
+//! cross terms leak into them and widen their spread 2–10×.
 
 use hero_data::Dataset;
 use hero_hessian::{layer_traces, slq_density, Estimate, SlqConfig};
@@ -25,7 +49,9 @@ pub struct SpectrumOptions {
     pub steps: usize,
     /// SLQ probe vectors averaged into the density estimate.
     pub slq_probes: usize,
-    /// Hutchinson probes per parameter tensor.
+    /// Shared Hutchinson probes for the per-layer traces: each is one
+    /// Rademacher vector over all parameters and one HVP, whatever the
+    /// tensor count. Keep it ≥ 2 — a single probe has no standard error.
     pub trace_probes: usize,
     /// Training samples in the probe batch.
     pub samples: usize,
@@ -40,7 +66,7 @@ impl Default for SpectrumOptions {
         SpectrumOptions {
             steps: 8,
             slq_probes: 2,
-            trace_probes: 2,
+            trace_probes: 8,
             samples: 64,
             eps: 1e-3,
             seed: 0,
@@ -65,7 +91,9 @@ pub struct LayerTrace {
     /// True when the tensor is subject to weight quantization (the layers
     /// the sensitivity cross-check ranks).
     pub quantizable: bool,
-    /// Estimated `tr(H_ii)` of the tensor's diagonal Hessian block.
+    /// Estimated `tr(H_ii)` of the tensor's diagonal Hessian block. Every
+    /// tensor's estimate comes from the same shared probes, so the errors
+    /// are correlated across tensors.
     pub trace: Estimate,
 }
 
@@ -89,7 +117,8 @@ pub struct SpectrumProbe {
 
 impl SpectrumProbe {
     /// Sum of the per-layer trace means — the global Hessian trace
-    /// estimate (per-layer traces are unbiased block traces).
+    /// estimate (per-layer traces are unbiased block traces, and the block
+    /// samples of each shared probe sum to its global sample).
     pub fn global_trace(&self) -> f32 {
         self.layers.iter().map(|l| l.trace.mean).sum()
     }
@@ -243,6 +272,20 @@ mod tests {
         assert!(probe.lambda_max.mean >= probe.lambda_min.mean);
         assert!(probe.global_trace().is_finite());
         assert!(probe.layers.iter().any(|l| l.quantizable));
+    }
+
+    #[test]
+    fn default_options_give_every_layer_a_finite_error() {
+        // Callers that gate on finite estimates (the benchmark's spectrum
+        // check) run the defaults; one trace probe would leave NaN errors.
+        let (mut net, train_set) = setup();
+        let opts = SpectrumOptions::default();
+        assert!(opts.trace_probes >= 2);
+        let probe = probe_spectrum(&mut net, &train_set, 0, &opts).unwrap();
+        for l in &probe.layers {
+            assert_eq!(l.trace.samples, opts.trace_probes);
+            assert!(l.trace.std_error.is_finite(), "{l:?}");
+        }
     }
 
     #[test]

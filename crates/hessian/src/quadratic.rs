@@ -6,7 +6,8 @@
 
 use hero_tensor::{Result, Tensor, TensorError};
 
-/// A quadratic objective `½ xᵀ A x + bᵀ x` over a single parameter tensor.
+/// A quadratic objective `½ xᵀ A x + bᵀ x` over the parameters viewed as
+/// one vector `x`.
 #[derive(Debug, Clone)]
 pub struct Quadratic {
     /// Symmetric matrix `A` of shape `(n, n)`.
@@ -82,14 +83,29 @@ impl Quadratic {
         Ok(g)
     }
 
-    /// A [`crate::GradOracle`] closure for this objective over a
-    /// single-tensor parameter list.
+    /// A [`crate::GradOracle`] closure for this objective over a parameter
+    /// list read as one concatenated vector in list order, so a list of
+    /// tensors sees `A` as a matrix of blocks (`A_ℓm` couples tensors `ℓ`
+    /// and `m`). The gradient comes back split into the tensors' shapes.
+    ///
+    /// The closure errors unless the tensors hold [`Quadratic::dim`]
+    /// values in total.
     pub fn oracle(&self) -> impl FnMut(&[Tensor]) -> Result<(f32, Vec<Tensor>)> + '_ {
         move |params: &[Tensor]| {
-            let x = params.first().ok_or_else(|| {
-                TensorError::InvalidArgument("quadratic oracle needs one tensor".into())
-            })?;
-            Ok((self.loss(x)?, vec![self.grad(x)?]))
+            let flat: Vec<f32> = params
+                .iter()
+                .flat_map(|t| t.data().iter().copied())
+                .collect();
+            let x = Tensor::from_vec(flat, [self.dim()])?;
+            let g = self.grad(&x)?;
+            let mut rest = g.data();
+            let mut grads = Vec::with_capacity(params.len());
+            for p in params {
+                let (head, tail) = rest.split_at(p.numel());
+                grads.push(Tensor::from_vec(head.to_vec(), p.shape().clone())?);
+                rest = tail;
+            }
+            Ok((self.loss(&x)?, grads))
         }
     }
 }
@@ -135,5 +151,25 @@ mod tests {
         assert!((l - 12.5).abs() < 1e-5);
         assert_eq!(g[0].data(), &[3.0, 4.0]);
         assert!(oracle(&[]).is_err());
+    }
+
+    #[test]
+    fn oracle_splits_a_coupled_gradient_across_tensors() {
+        // A = [[2,1,0],[1,3,1],[0,1,4]] over tensors of 1 and 2 values:
+        // the off-diagonal entries couple the two tensors.
+        let a = Tensor::from_vec(vec![2.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 4.0], [3, 3]);
+        let q = Quadratic::new(a.unwrap(), Tensor::zeros([3])).unwrap();
+        let mut oracle = q.oracle();
+        let params = [
+            Tensor::from_vec(vec![1.0], [1]).unwrap(),
+            Tensor::from_vec(vec![0.0, 2.0], [1, 2]).unwrap(),
+        ];
+        let (l, g) = oracle(&params).unwrap();
+        // Ax = (2, 3, 8); loss = ½·(2 + 16) = 9.
+        assert!((l - 9.0).abs() < 1e-5);
+        assert_eq!(g[0].data(), &[2.0]);
+        assert_eq!(g[1].data(), &[3.0, 8.0]);
+        assert_eq!(g[1].dims(), &[1, 2]);
+        assert!(oracle(&params[..1]).is_err(), "too few values");
     }
 }

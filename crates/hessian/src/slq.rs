@@ -124,7 +124,8 @@ impl SlqDensity {
 /// Estimates the Hessian spectral density at `params` by stochastic
 /// Lanczos quadrature over `cfg.probes` seeded random probes.
 ///
-/// Costs `probes · steps + 1` gradient evaluations. Deterministic for a
+/// Costs `probes · (steps + 1)` gradient evaluations (each probe's Lanczos
+/// run takes its own base gradient). Deterministic for a
 /// fixed seed; probe `i`'s stream does not depend on the probe count.
 ///
 /// # Errors

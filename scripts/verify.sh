@@ -179,17 +179,34 @@ awk -F'"' '
 cat results/BENCH_gemm_gflops.txt
 
 echo "==> observability overhead gate (disabled tracer vs obs-off build)"
-on_json="$(mktemp)"
-off_json="$(mktemp)"
-trap 'rm -f "$on_json" "$off_json"' EXIT
-HERO_BENCH_OUT="$on_json" cargo bench -p hero-bench --bench overhead
-HERO_BENCH_OUT="$off_json" cargo bench -p hero-bench --features obs-off --bench overhead
-on_ns="$(grep overhead_step_HERO "$on_json" | sed 's/.*"ns_per_iter": \([0-9.eE+-]*\).*/\1/')"
-off_ns="$(grep overhead_step_HERO "$off_json" | sed 's/.*"ns_per_iter": \([0-9.eE+-]*\).*/\1/')"
-awk -v on="$on_ns" -v off="$off_ns" 'BEGIN {
-  ratio = on / off
-  printf "overhead_step_HERO: instrumented %.3f ms/iter, obs-off %.3f ms/iter (ratio %.4f)\n", on / 1e6, off / 1e6, ratio
-  if (ratio > 1.03) { print "FAIL: disabled instrumentation costs more than 3%"; exit 1 }
+# One run of the HERO step row spreads by ±20% on a shared host, so the
+# gate reads the median per-pair ratio of 5 alternating (instrumented,
+# obs-off) runs of the `overhead` bench built both ways. The bound stays
+# at 3%.
+bench_exe() {
+  cargo bench -p hero-bench --bench overhead --no-run --message-format=json "$@" |
+    sed -n 's/.*"executable":"\([^"]*overhead[^"]*\)".*/\1/p' | tail -n 1
+}
+on_exe="$(bench_exe)"
+off_exe="$(bench_exe --features obs-off)"
+step_ns() { sed -n 's/.*"overhead_step_HERO".*"ns_per_iter": \([0-9.eE+-]*\).*/\1/p' "$1"; }
+pair_json="$(mktemp)"
+trap 'rm -f "$pair_json"' EXIT
+ratios=()
+for pair in 1 2 3 4 5; do
+  HERO_BENCH_OUT="$pair_json" "$on_exe" > /dev/null
+  on_ns="$(step_ns "$pair_json")"
+  HERO_BENCH_OUT="$pair_json" "$off_exe" > /dev/null
+  off_ns="$(step_ns "$pair_json")"
+  ratios+=("$(awk -v p="$pair" -v on="$on_ns" -v off="$off_ns" 'BEGIN {
+    printf "pair %d: instrumented %.3f ms/iter, obs-off %.3f ms/iter (ratio %.4f)\n", p, on / 1e6, off / 1e6, on / off > "/dev/stderr"
+    printf "%.6f", on / off
+  }')")
+done
+median="$(printf '%s\n' "${ratios[@]}" | sort -g | sed -n 3p)"
+awk -v m="$median" 'BEGIN {
+  printf "overhead_step_HERO: median instrumented/obs-off ratio over 5 pairs %.4f\n", m
+  if (m > 1.03) { print "FAIL: disabled instrumentation costs more than 3%"; exit 1 }
 }'
 
 echo "verify.sh: all gates passed"
