@@ -1,23 +1,37 @@
 //! GEMM throughput sweep over the *real* layer shapes of the experiment
 //! presets (resnet / mobilenet / vgg at the `model_config` scale: width 8,
-//! 8×8 inputs, batch 16), not just the square 256³ headline product.
+//! 8×8 inputs), not just the square 256³ headline product.
 //! Conv-as-im2col GEMMs are skinny (m = out-channels ≤ 16) with fat panel
 //! dims, which stresses the edge-tile and packing paths very differently
 //! from a square matmul.
 //!
-//! Each shape is timed under every kernel variant — `reference` (the
-//! blocked oracle), `scalar` (portable packed kernel), `avx2fma` (forced
-//! SIMD; silently identical to scalar on hardware without AVX2+FMA, the
-//! `kernel` extra records what actually ran) — plus one fused-vs-
-//! materialized im2col pair. Writes `results/BENCH_gemm.json` with a
-//! GFLOP/s figure per row (override the path with `HERO_BENCH_OUT`).
+//! Three groups of rows:
+//!
+//! * [`SHAPES`] — each conv layer's im2col GEMM as a plain stored-matrix
+//!   product at batch 16, timed under every kernel variant: `reference`
+//!   (the blocked oracle), `scalar` (portable packed kernel), `avx2fma`
+//!   (forced SIMD; silently identical to scalar on hardware without
+//!   AVX2+FMA, the `kernel_ran` extra records what actually ran).
+//! * One fused-vs-materialized im2col pair on the resnet stage conv.
+//! * [`CONVS`] — every distinct conv layer of the three models at the
+//!   training batch (32), through the fused paths training runs: the
+//!   forward `W·im2col(x)` (`<layer>_fused_b32`) and the weight gradient
+//!   `dY·im2col(x)ᵀ` (`<layer>_grad_w_fused_b32`), under the auto-detected
+//!   kernel. These are the shapes whose B panels are packed straight out
+//!   of the NCHW input.
+//!
+//! Writes `results/BENCH_gemm.json` with a GFLOP/s figure per row (override
+//! the path with `HERO_BENCH_OUT`); every row carries the
+//! [`with_fingerprint`] host tags.
 
-use hero_bench::timing::{bench_out_path, default_budget, time_op, write_json, BenchRow};
+use hero_bench::timing::{
+    bench_out_path, default_budget, time_op, with_fingerprint, write_json, BenchRow,
+};
 use hero_tensor::{
     active_gemm_kernel, force_gemm_kernel, matmul_reference, ConvGeometry, GemmKernel, Tensor,
 };
 
-/// Named layer shapes `(name, m, n, k)` of the preset models.
+/// Named layer shapes `(name, m, n, k)` of the preset models, at batch 16.
 ///
 /// Conv layers appear as their im2col GEMM `(out_c, N·oh·ow, in_c·k·k)`;
 /// the `grad_w` row is the backward dW product of the same layer, whose
@@ -40,6 +54,40 @@ const SHAPES: [(&str, usize, usize, usize); 9] = [
     ("vgg_conv", 16, 1024, 144),
     // square FC head (vgg-style) at batch 16.
     ("fc_head", 16, 256, 256),
+];
+
+/// Training batch size of every preset run (`TrainConfig`'s default).
+const TRAIN_BATCH: usize = 32;
+
+/// Distinct conv layers `(name, in_c, out_c, in_hw, kernel, stride, pad)`
+/// of the three models at the `model_config` scale (width 8, 8×8 input).
+/// Layers that repeat a listed geometry within a model are left out.
+const CONVS: [(&str, usize, usize, usize, usize, usize, usize); 21] = [
+    // resnet (one basic block per stage, widths 8, 8, 16).
+    ("resnet_stem", 3, 8, 8, 3, 1, 1),
+    ("resnet_stage0_conv", 8, 8, 8, 3, 1, 1),
+    ("resnet_stage1_conv1", 8, 8, 8, 3, 2, 1),
+    ("resnet_stage1_down", 8, 8, 8, 1, 2, 0),
+    ("resnet_stage1_conv2", 8, 8, 4, 3, 1, 1),
+    ("resnet_stage2_conv1", 8, 16, 4, 3, 2, 1),
+    ("resnet_stage2_down", 8, 16, 4, 1, 2, 0),
+    ("resnet_stage2_conv2", 16, 16, 2, 3, 1, 1),
+    // mobilenet (same 3×3 stem as resnet; 1×1 expand/project convs; the
+    // depthwise convs do not go through GEMM).
+    ("mobilenet_ir0_project", 8, 8, 8, 1, 1, 0),
+    ("mobilenet_ir1_expand", 8, 32, 8, 1, 1, 0),
+    ("mobilenet_ir1_project", 32, 16, 4, 1, 1, 0),
+    ("mobilenet_ir2_expand", 16, 64, 4, 1, 1, 0),
+    ("mobilenet_ir2_project", 64, 16, 4, 1, 1, 0),
+    ("mobilenet_ir3_project", 64, 24, 2, 1, 1, 0),
+    ("mobilenet_ir4_expand", 24, 96, 2, 1, 1, 0),
+    ("mobilenet_ir4_project", 96, 24, 2, 1, 1, 0),
+    ("mobilenet_headconv", 24, 48, 2, 1, 1, 0),
+    // vgg (width 16, two 3×3 convs per stage, 2×2 max-pool between).
+    ("vgg_stage0_conv0", 3, 16, 8, 3, 1, 1),
+    ("vgg_stage0_conv1", 16, 16, 8, 3, 1, 1),
+    ("vgg_stage1_conv0", 16, 32, 4, 3, 1, 1),
+    ("vgg_stage1_conv1", 32, 32, 4, 3, 1, 1),
 ];
 
 fn operand(dims: [usize; 2], salt: usize) -> Tensor {
@@ -104,6 +152,28 @@ fn main() {
         rows.push(with_gflops(row, m, n, k));
     }
 
+    // Every distinct conv layer at the training batch, through the fused
+    // forward and weight-gradient products.
+    for &(name, in_c, out_c, hw, kernel, stride, pad) in &CONVS {
+        let geom = ConvGeometry::new(hw, hw, kernel, stride, pad).unwrap();
+        let (oh, ow) = geom.out_hw();
+        let x = Tensor::from_fn([TRAIN_BATCH, in_c, hw, hw], |i| {
+            ((i[0] * 7 + i[1] * 5 + i[2] * 3 + i[3]) % 17) as f32 / 8.0 - 1.0
+        });
+        let (sites, taps) = (TRAIN_BATCH * oh * ow, in_c * kernel * kernel);
+        let w = operand([out_c, taps], 3);
+        let dy = operand([out_c, sites], 4);
+        let row = time_op(&format!("{name}_fused_b32"), budget, || {
+            std::hint::black_box(w.matmul_im2col(&x, &geom).unwrap());
+        });
+        rows.push(with_gflops(row, out_c, sites, taps));
+        let row = time_op(&format!("{name}_grad_w_fused_b32"), budget, || {
+            std::hint::black_box(dy.matmul_nt_im2col(&x, &geom).unwrap());
+        });
+        rows.push(with_gflops(row, out_c, taps, sites));
+    }
+
+    let rows = with_fingerprint(rows, budget);
     let out = bench_out_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/BENCH_gemm.json"

@@ -15,7 +15,7 @@
 //!
 //! Each row carries a `grad_evals` extra — the number of gradient
 //! evaluations the operation spends — so the JSON documents the probe's
-//! cost model (`slq_probes·(steps + 1) + trace_probes + 1`) next to its
+//! cost model (`1 + slq_probes·steps + trace_probes`) next to its
 //! wall-clock price, plus the `budget_ms`, `cores`, `simd_gemm` and
 //! `median_of` fingerprint of [`hero_bench::timing::with_fingerprint`].
 
@@ -33,7 +33,7 @@ const PROBES: usize = 2;
 
 /// Gradient evaluations of one `probe_spectrum` call under `opts`.
 fn probe_grad_evals(opts: &SpectrumOptions) -> f64 {
-    (opts.slq_probes * (opts.steps + 1) + opts.trace_probes + 1) as f64
+    (1 + opts.slq_probes * opts.steps + opts.trace_probes) as f64
 }
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
         };
         std::hint::black_box(slq_density(&mut oracle, &params, cfg).unwrap());
     })
-    .with_extra("grad_evals", (PROBES * (STEPS + 1)) as f64);
+    .with_extra("grad_evals", (1 + PROBES * STEPS) as f64);
     rows.push(row);
 
     let row = time_op("layer_traces_resnet_b16", budget, || {

@@ -20,7 +20,7 @@ use hero_core::{
 };
 use hero_data::{Dataset, Preset};
 use hero_hessian::{
-    hessian_norm_probe, lanczos_spectrum, layer_traces, slq_density, spearman_rank_checked,
+    hessian_norm_probe, lanczos_spectrum, layer_traces_at, slq_density_at, spearman_rank_checked,
     BoundInputs, GradOracle, SlqConfig,
 };
 use hero_nn::models::ModelKind;
@@ -1227,9 +1227,18 @@ fn cmd_spectrum(opts: &Opts) -> Result<(), String> {
                 grid_points: 32,
                 ..SlqConfig::default()
             };
-            let density = slq_density(&mut oracle, &params, cfg).map_err(err)?;
-            let traces =
-                layer_traces(&mut oracle, &params, probes, 1e-3, seed ^ 0x7ACE).map_err(err)?;
+            // One base gradient serves every finite-difference HVP below.
+            let (_, base_grad) = oracle.grad(&params).map_err(err)?;
+            let density = slq_density_at(&mut oracle, &params, &base_grad, cfg).map_err(err)?;
+            let traces = layer_traces_at(
+                &mut oracle,
+                &params,
+                &base_grad,
+                probes,
+                1e-3,
+                seed ^ 0x7ACE,
+            )
+            .map_err(err)?;
             (density, traces)
         };
         // The oracle leaves its last-evaluated (perturbed) parameters

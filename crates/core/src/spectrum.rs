@@ -6,8 +6,9 @@
 //! a Hutchinson trace per parameter tensor (the HeRo-Q quantization-
 //! sensitivity proxy). The trainer takes one every
 //! [`crate::TrainConfig::spectrum_every`] epochs (off by default: each
-//! probe costs `slq_probes·(steps + 1) + trace_probes + 1` gradient
-//! evaluations, 27 under [`SpectrumOptions::default`]), emits it as
+//! probe costs `1 + slq_probes·steps + trace_probes` gradient
+//! evaluations, 25 under [`SpectrumOptions::default`] — one base gradient
+//! shared by every SLQ probe and the trace probes), emits it as
 //! `spectrum` / `spectrum_layer` JSONL events and records it into the
 //! `hero-obs` series registry, so traced runs roll the whole trajectory
 //! into `SUMMARY_<run>.json`.
@@ -36,7 +37,7 @@
 //! cross terms leak into them and widen their spread 2–10×.
 
 use hero_data::Dataset;
-use hero_hessian::{layer_traces, slq_density, Estimate, SlqConfig};
+use hero_hessian::{layer_traces_at, slq_density_at, Estimate, GradOracle, SlqConfig};
 use hero_nn::Network;
 use hero_optim::BatchOracle;
 use hero_tensor::Result;
@@ -193,10 +194,13 @@ pub fn probe_spectrum(
             seed: opts.seed,
             ..SlqConfig::default()
         };
-        let density = slq_density(&mut oracle, &params, cfg)?;
-        let traces = layer_traces(
+        // One base gradient serves every finite-difference HVP below.
+        let (_, base_grad) = oracle.grad(&params)?;
+        let density = slq_density_at(&mut oracle, &params, &base_grad, cfg)?;
+        let traces = layer_traces_at(
             &mut oracle,
             &params,
+            &base_grad,
             opts.trace_probes,
             opts.eps,
             // Decorrelated from the SLQ probe streams.
@@ -317,6 +321,50 @@ mod tests {
                 .map(|l| l.trace.mean.to_bits())
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn shared_base_gradient_leaves_estimates_bitwise_unchanged() {
+        // The probe evaluates one base gradient for SLQ and the traces;
+        // each estimator run on its own (taking its own base gradient at
+        // the same point) must give the same bits.
+        let (mut net, train_set) = setup();
+        let opts = SpectrumOptions {
+            steps: 4,
+            slq_probes: 2,
+            trace_probes: 3,
+            samples: 16,
+            ..SpectrumOptions::default()
+        };
+        let probe = probe_spectrum(&mut net, &train_set, 0, &opts).unwrap();
+        let images = train_set.images.narrow(0, opts.samples).unwrap();
+        let labels = &train_set.labels[..opts.samples];
+        let params = net.params();
+        let mut oracle = BatchOracle::new(&mut net, &images, labels);
+        let cfg = SlqConfig {
+            steps: opts.steps,
+            probes: opts.slq_probes,
+            eps: opts.eps,
+            seed: opts.seed,
+            ..SlqConfig::default()
+        };
+        let density = hero_hessian::slq_density(&mut oracle, &params, cfg).unwrap();
+        let traces = hero_hessian::layer_traces(
+            &mut oracle,
+            &params,
+            opts.trace_probes,
+            opts.eps,
+            opts.seed ^ 0x7ACE,
+        )
+        .unwrap();
+        let bits = |e: &Estimate| (e.mean.to_bits(), e.std_error.to_bits());
+        assert_eq!(bits(&probe.lambda_max), bits(&density.lambda_max));
+        assert_eq!(bits(&probe.lambda_min), bits(&density.lambda_min));
+        assert_eq!(bits(&probe.mean_eigenvalue), bits(&density.mean_eigenvalue));
+        assert_eq!(bits(&probe.second_moment), bits(&density.second_moment));
+        for (layer, trace) in probe.layers.iter().zip(&traces) {
+            assert_eq!(bits(&layer.trace), bits(trace), "{}", layer.name);
+        }
     }
 
     #[test]

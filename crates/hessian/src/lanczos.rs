@@ -112,6 +112,22 @@ pub fn lanczos_spectrum_from(
     steps: usize,
     eps: f32,
 ) -> Result<LanczosResult> {
+    let (_, base_grad) = oracle.grad(params)?;
+    lanczos_spectrum_at(oracle, params, &base_grad, v0, steps, eps)
+}
+
+/// [`lanczos_spectrum_from`] around a caller-supplied base gradient
+/// `base_grad = ∇L(params)`, so several runs at the same point (the probes
+/// of stochastic Lanczos quadrature) share one evaluation. Costs `steps`
+/// gradient evaluations.
+pub(crate) fn lanczos_spectrum_at(
+    oracle: &mut dyn GradOracle,
+    params: &[Tensor],
+    base_grad: &[Tensor],
+    v0: &[Tensor],
+    steps: usize,
+    eps: f32,
+) -> Result<LanczosResult> {
     if steps == 0 {
         return Err(TensorError::InvalidArgument(
             "lanczos needs at least one step".into(),
@@ -124,7 +140,6 @@ pub fn lanczos_spectrum_from(
             "lanczos start direction has norm {n0}; probes must be nonzero and finite"
         )));
     }
-    let (_, base_grad) = oracle.grad(params)?;
     let mut v: Vec<Tensor> = v0.to_vec();
     for t in &mut v {
         t.scale_in_place(1.0 / n0);
@@ -134,7 +149,7 @@ pub fn lanczos_spectrum_from(
     let mut alphas = Vec::with_capacity(steps);
     let mut betas: Vec<f32> = Vec::new();
     for _ in 0..steps {
-        let mut w = fd_hvp(oracle, params, &base_grad, &v, eps)?;
+        let mut w = fd_hvp(oracle, params, base_grad, &v, eps)?;
         let alpha = global_dot(&v, &w);
         if !alpha.is_finite() {
             return Err(TensorError::InvalidArgument(format!(

@@ -47,9 +47,9 @@ pub use hvp::{fd_hvp, fd_hvp_into, perturbed, perturbed_into, GradOracle};
 pub use lanczos::{lanczos_spectrum, lanczos_spectrum_from, LanczosResult};
 pub use norm::{
     eigen_sq_sum_estimate, hessian_norm_probe, hutchinson_trace, layer_scaled_direction,
-    layer_scaled_direction_into, layer_traces,
+    layer_scaled_direction_into, layer_traces, layer_traces_at,
 };
 pub use power::{power_iteration, PowerIterConfig, PowerIterResult};
 pub use quadratic::Quadratic;
-pub use slq::{slq_density, SlqConfig, SlqDensity};
+pub use slq::{slq_density, slq_density_at, SlqConfig, SlqDensity};
 pub use stats::{probe_seed, spearman_rank, spearman_rank_checked, Estimate};

@@ -97,6 +97,7 @@ fn fill_rademacher(t: &mut Tensor, rng: &mut impl Rng) {
 fn block_samples(
     oracle: &mut dyn GradOracle,
     params: &[Tensor],
+    grads: &[Tensor],
     probes: usize,
     eps: f32,
     seed: u64,
@@ -106,7 +107,6 @@ fn block_samples(
             "Hutchinson trace estimation needs at least one probe".into(),
         ));
     }
-    let (_, grads) = oracle.grad(params)?;
     let mut z: Vec<Tensor> = params
         .iter()
         .map(|p| Tensor::zeros(p.shape().clone()))
@@ -119,7 +119,7 @@ fn block_samples(
         for t in &mut z {
             fill_rademacher(t, &mut rng);
         }
-        fd_hvp_into(oracle, params, &grads, &z, eps, &mut shifted, &mut hz)?;
+        fd_hvp_into(oracle, params, grads, &z, eps, &mut shifted, &mut hz)?;
         rows.push(
             z.iter()
                 .zip(&hz)
@@ -154,7 +154,8 @@ pub fn hutchinson_trace(
     eps: f32,
     seed: u64,
 ) -> Result<Estimate> {
-    let rows = block_samples(oracle, params, probes, eps, seed)?;
+    let (_, grads) = oracle.grad(params)?;
+    let rows = block_samples(oracle, params, &grads, probes, eps, seed)?;
     let samples: Vec<f32> = rows.iter().map(|r| r.iter().sum()).collect();
     Ok(Estimate::from_samples(&samples))
 }
@@ -195,8 +196,27 @@ pub fn layer_traces(
     eps: f32,
     seed: u64,
 ) -> Result<Vec<Estimate>> {
+    let (_, grads) = oracle.grad(params)?;
+    layer_traces_at(oracle, params, &grads, probes, eps, seed)
+}
+
+/// [`layer_traces`] around a caller-supplied base gradient
+/// `base_grad = ∇L(params)`, for callers that run other finite-difference
+/// estimators at the same point (one gradient evaluation per probe).
+///
+/// # Errors
+///
+/// As [`layer_traces`].
+pub fn layer_traces_at(
+    oracle: &mut dyn GradOracle,
+    params: &[Tensor],
+    base_grad: &[Tensor],
+    probes: usize,
+    eps: f32,
+    seed: u64,
+) -> Result<Vec<Estimate>> {
     let _obs = hero_obs::span("layer_traces");
-    let rows = block_samples(oracle, params, probes, eps, seed)?;
+    let rows = block_samples(oracle, params, base_grad, probes, eps, seed)?;
     Ok((0..params.len())
         .map(|l| Estimate::from_samples(&rows.iter().map(|r| r[l]).collect::<Vec<_>>()))
         .collect())
@@ -419,7 +439,9 @@ mod tests {
         let a = blocked_matrix(1.5, 3.0);
         let q = quadratic_of(&a);
         let params = vec![Tensor::zeros([3]), Tensor::zeros([4])];
-        let rows = block_samples(&mut q.oracle(), &params, 6, 1e-3, 21).unwrap();
+        let mut oracle = q.oracle();
+        let (_, grads) = oracle.grad(&params).unwrap();
+        let rows = block_samples(&mut oracle, &params, &grads, 6, 1e-3, 21).unwrap();
         let mut leaked = false;
         for (i, row) in rows.iter().enumerate() {
             for (&got, (shared, masked)) in row.iter().zip(reference_cells(&a, 21, i)) {
@@ -437,7 +459,9 @@ mod tests {
         let a = blocked_matrix(1.5, 0.0);
         let q = quadratic_of(&a);
         let params = vec![Tensor::zeros([3]), Tensor::zeros([4])];
-        let rows = block_samples(&mut q.oracle(), &params, 6, 1e-3, 21).unwrap();
+        let mut oracle = q.oracle();
+        let (_, grads) = oracle.grad(&params).unwrap();
+        let rows = block_samples(&mut oracle, &params, &grads, 6, 1e-3, 21).unwrap();
         for (i, row) in rows.iter().enumerate() {
             for (&got, (_, masked)) in row.iter().zip(reference_cells(&a, 21, i)) {
                 assert!((f64::from(got) - masked).abs() < 1e-3, "{got} vs {masked}");

@@ -15,7 +15,7 @@
 //! reported as an [`Estimate`] with its across-probe standard error.
 
 use crate::hvp::GradOracle;
-use crate::lanczos::{lanczos_spectrum_from, LanczosResult};
+use crate::lanczos::{lanczos_spectrum_at, LanczosResult};
 use crate::stats::{probe_seed, Estimate};
 use hero_tensor::rng::StdRng;
 use hero_tensor::{fill_standard_normal, Result, Tensor, TensorError};
@@ -124,9 +124,10 @@ impl SlqDensity {
 /// Estimates the Hessian spectral density at `params` by stochastic
 /// Lanczos quadrature over `cfg.probes` seeded random probes.
 ///
-/// Costs `probes · (steps + 1)` gradient evaluations (each probe's Lanczos
-/// run takes its own base gradient). Deterministic for a
-/// fixed seed; probe `i`'s stream does not depend on the probe count.
+/// Costs `1 + probes · steps` gradient evaluations: one base gradient at
+/// `params`, shared by every probe's Lanczos run, plus one per step.
+/// Deterministic for a fixed seed; probe `i`'s stream does not depend on
+/// the probe count.
 ///
 /// # Errors
 ///
@@ -136,6 +137,23 @@ impl SlqDensity {
 pub fn slq_density(
     oracle: &mut dyn GradOracle,
     params: &[Tensor],
+    cfg: SlqConfig,
+) -> Result<SlqDensity> {
+    let (_, base_grad) = oracle.grad(params)?;
+    slq_density_at(oracle, params, &base_grad, cfg)
+}
+
+/// [`slq_density`] around a caller-supplied base gradient
+/// `base_grad = ∇L(params)`, for callers that run other finite-difference
+/// estimators at the same point (`probes · steps` gradient evaluations).
+///
+/// # Errors
+///
+/// As [`slq_density`].
+pub fn slq_density_at(
+    oracle: &mut dyn GradOracle,
+    params: &[Tensor],
+    base_grad: &[Tensor],
     cfg: SlqConfig,
 ) -> Result<SlqDensity> {
     if cfg.probes == 0 {
@@ -161,7 +179,7 @@ pub fn slq_density(
                 t
             })
             .collect();
-        let res = lanczos_spectrum_from(oracle, params, &v0, cfg.steps, cfg.eps)?;
+        let res = lanczos_spectrum_at(oracle, params, base_grad, &v0, cfg.steps, cfg.eps)?;
         maxs.push(res.lambda_max());
         mins.push(res.lambda_min());
         means.push(res.mean_eigenvalue());

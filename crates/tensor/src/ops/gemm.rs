@@ -12,7 +12,8 @@
 //!   and a block of B into NR-column strips (`strip·kc·NR + kk·NR + j`),
 //!   both zero-padded to full strip width. The B source is either a plain
 //!   row-major matrix or an [`Im2colView`], in which case patch elements
-//!   are sampled straight out of the NCHW input — convolution never
+//!   are gathered straight out of the NCHW input (padded once per call,
+//!   then read through two offset tables) — convolution never
 //!   materializes the `(C·k·k, N·oh·ow)` patch matrix.
 //! * **Micro-kernels** — two variants behind runtime feature detection
 //!   ([`GemmKernel`]): a portable scalar 4×8 kernel (auto-vectorized,
@@ -40,7 +41,7 @@
 //! steady-state training step performs no fresh pack allocations — on the
 //! calling thread and on every GEMM worker alike.
 
-use crate::ops::im2col::{Im2colMeta, Im2colView};
+use crate::ops::im2col::{Im2colMeta, Im2colView, OffsetWalk};
 use crate::pool;
 use crate::workers::{Job, WorkerPool};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -213,7 +214,7 @@ fn gemm_threads() -> usize {
 }
 
 /// The B operand of a [`gemm`] call: either a plain row-major matrix or a
-/// virtual im2col patch matrix sampled during packing (the fused path —
+/// virtual im2col patch matrix gathered during packing (the fused path —
 /// the full patch matrix never exists in memory).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BSrc<'a> {
@@ -353,14 +354,15 @@ fn pack_b_mat(
     }
 }
 
-/// Fused im2col B packing: samples patch elements straight from the NCHW
-/// input while building the NR-column strips, so convolution never writes
-/// the patch matrix. Index decompositions along the k dimension are
-/// precomputed per KC block (one stack table of at most [`KC`] entries).
-/// In the forward orientation each packed row is additionally split into
-/// same-`(img, oy)` column runs, which are contiguous in the input for
-/// stride 1 and become `copy_from_slice` calls — the same streaming the
-/// materializing `im2col` does, minus the intermediate matrix.
+/// Fused im2col B packing: gathers patch elements straight from the
+/// padded NCHW input the view reads while building the NR-column strips,
+/// so convolution never writes the patch matrix.
+///
+/// Element `(kk, j)` of the block sits at `xp[kofs[kk] + jofs[j]]`: one
+/// offset table walks the k dimension, the other the strip's columns. In
+/// the forward orientation (`cols`) k walks patch rows `(ch, ky, kx)` and
+/// columns walk output sites `(img, oy, ox)`; the dW orientation
+/// (`colsᵀ`) swaps the two walks and nothing else.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_cols(
     dst: &mut [f32],
@@ -373,100 +375,56 @@ fn pack_b_cols(
     nr: usize,
 ) {
     debug_assert!(kc <= KC);
-    debug_assert!(nr <= SIMD_NR.max(NR));
     let m = &view.meta;
-    let (stride, pad, h, w) = (m.stride, m.pad, m.h, m.w);
-    let strips = nc.div_ceil(nr);
-    let mut kdec = [(0usize, 0usize, 0usize); KC];
-    if !trans {
-        // B = cols: the k dimension walks patch rows (ch, ky, kx), columns
-        // walk output sites (img, oy, ox).
-        for (kk, slot) in kdec[..kc].iter_mut().enumerate() {
-            *slot = view.row_pos(pc + kk);
-        }
-        for s in 0..strips {
-            let base = s * kc * nr;
-            let cols = nr.min(nc - s * nr);
-            // Split the strip's columns into runs of consecutive `ox`
-            // within one (img, oy) output row: `(img, oy, ox0, j0, len)`.
-            // At most one run per column, so a stack table of NR suffices.
-            let mut runs = [(0usize, 0usize, 0usize, 0usize, 0usize); SIMD_NR];
-            let mut nruns = 0;
-            let mut j = 0;
-            while j < cols {
-                let (img, oy, ox) = view.col_pos(jc + s * nr + j);
-                let len = (m.ow - ox).min(cols - j);
-                runs[nruns] = (img, oy, ox, j, len);
-                nruns += 1;
-                j += len;
-            }
-            for (kk, &(ch, ky, kx)) in kdec[..kc].iter().enumerate() {
-                let drow = &mut dst[base + kk * nr..][..nr];
-                for slot in &mut drow[cols..] {
-                    *slot = 0.0;
-                }
-                for &(img, oy, ox0, j0, len) in &runs[..nruns] {
-                    let dseg = &mut drow[j0..j0 + len];
-                    let y = oy * stride + ky;
-                    if y < pad || y >= h + pad {
-                        dseg.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &view.data[((img * m.c + ch) * h + (y - pad)) * w..][..w];
-                    if stride == 1 {
-                        // x = ox + kx - pad must land in [0, w).
-                        let lo = ox0.max(pad.saturating_sub(kx));
-                        let hi = (ox0 + len).min((w + pad).saturating_sub(kx));
-                        if lo < hi {
-                            dseg[..lo - ox0].fill(0.0);
-                            dseg[lo - ox0..hi - ox0]
-                                .copy_from_slice(&src_row[lo + kx - pad..hi + kx - pad]);
-                            dseg[hi - ox0..].fill(0.0);
-                        } else {
-                            dseg.fill(0.0);
-                        }
-                    } else {
-                        for (t, slot) in dseg.iter_mut().enumerate() {
-                            let x = (ox0 + t) * stride + kx;
-                            *slot = if x >= pad && x < w + pad {
-                                src_row[x - pad]
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                }
-            }
-        }
+    let (mut k_walk, n_walk) = if trans {
+        (m.site_walk(pc), m.row_walk(jc))
     } else {
-        // B = colsᵀ: the k dimension walks output sites, columns walk
-        // patch rows — the dW = dY·colsᵀ orientation. No source
-        // contiguity along the columns here (consecutive patch rows hop
-        // kernel taps), so pack element-wise with hoisted site offsets.
-        for (kk, slot) in kdec[..kc].iter_mut().enumerate() {
-            *slot = view.col_pos(pc + kk);
-        }
-        let mut jdec = [(0usize, 0usize, 0usize); SIMD_NR];
-        for s in 0..strips {
-            let base = s * kc * nr;
-            let cols = nr.min(nc - s * nr);
-            for (j, slot) in jdec[..cols].iter_mut().enumerate() {
-                *slot = view.row_pos(jc + s * nr + j);
+        (m.row_walk(pc), m.site_walk(jc))
+    };
+    let mut kofs = [0usize; KC];
+    k_walk.fill(&mut kofs[..kc]);
+    match nr {
+        NR => gather_strips::<NR>(dst, view.data, &kofs[..kc], n_walk, nc),
+        SIMD_NR => gather_strips::<SIMD_NR>(dst, view.data, &kofs[..kc], n_walk, nc),
+        _ => unreachable!("no micro-kernel is {nr} columns wide"),
+    }
+}
+
+/// Writes `dst[s·kc·W + kk·W + j] = xp[kofs[kk] + jofs[j]]` for every
+/// `W`-column strip `s` of an `nc`-column block, taking each strip's
+/// `jofs` from `n_walk`, and zero-fills the columns past `nc` in the last
+/// strip. `W` is a constant so the full-strip row loop unrolls.
+fn gather_strips<const W: usize>(
+    dst: &mut [f32],
+    xp: &[f32],
+    kofs: &[usize],
+    mut n_walk: OffsetWalk,
+    nc: usize,
+) {
+    let kc = kofs.len();
+    let kmax = kofs.iter().copied().max().unwrap_or(0);
+    for (s, strip) in dst.chunks_exact_mut(kc * W).enumerate() {
+        let cols = W.min(nc - s * W);
+        let mut jofs = [0usize; W];
+        n_walk.fill(&mut jofs[..cols]);
+        let jmax = jofs[..cols].iter().copied().max().unwrap_or(0);
+        // The one bounds check of the strip: every gathered index is
+        // `kofs[kk] + jofs[j] ≤ kmax + jmax`.
+        assert!(kmax + jmax < xp.len(), "im2col gather out of bounds");
+        if cols == W {
+            for (row, &ko) in strip.chunks_exact_mut(W).zip(kofs) {
+                for j in 0..W {
+                    // SAFETY: `ko ≤ kmax` and `jofs[j] ≤ jmax`, and the
+                    // strip's assert above checked `kmax + jmax < xp.len()`.
+                    row[j] = unsafe { *xp.get_unchecked(ko + jofs[j]) };
+                }
             }
-            for (kk, &(img, oy, ox)) in kdec[..kc].iter().enumerate() {
-                let (y0, x0, img_at) = (oy * stride, ox * stride, img * m.c * h * w);
-                let drow = &mut dst[base + kk * nr..][..nr];
-                for (slot, &(ch, ky, kx)) in drow[..cols].iter_mut().zip(&jdec[..cols]) {
-                    let (y, x) = (y0 + ky, x0 + kx);
-                    *slot = if y < pad || y >= h + pad || x < pad || x >= w + pad {
-                        0.0
-                    } else {
-                        view.data[img_at + ch * h * w + (y - pad) * w + (x - pad)]
-                    };
+        } else {
+            for (row, &ko) in strip.chunks_exact_mut(W).zip(kofs) {
+                for (slot, &jo) in row.iter_mut().zip(&jofs[..cols]) {
+                    *slot = xp[ko + jo];
                 }
-                for slot in &mut drow[cols..] {
-                    *slot = 0.0;
-                }
+                row[cols..].fill(0.0);
             }
         }
     }
@@ -649,16 +607,11 @@ unsafe fn gemm_range(
     j0: usize,
     j1: usize,
 ) {
-    let (mr, nr, mc_blk) = (kernel.mr(), kernel.nr(), kernel.mc());
-    // For a fused im2col source, take the whole column range in one jc
-    // pass: each B panel is rebuilt from the view on every pass, so NC
-    // blocking would re-run the patch sampling per block instead of once.
-    // The panel stays bounded by KC rows either way. Plain matrices keep
-    // the cache-sized NC.
-    let nc_blk = match b {
-        BSrc::Mat { .. } => kernel.nc(),
-        BSrc::Cols { .. } => (j1 - j0).max(1),
-    };
+    // One NC for every B source. B is packed outside the ic loop, so each
+    // column is packed once per KC block whatever the panel width; on the
+    // fused conv shapes (m ≤ 16, one ic block) whole-range panels timed
+    // no faster than NC-wide ones and lease a panel up to 4× larger.
+    let (mr, nr, mc_blk, nc_blk) = (kernel.mr(), kernel.nr(), kernel.mc(), kernel.nc());
     let lda = if a_trans { m } else { k };
     // Exact panel capacities so repeat leases hit the pool's free list.
     let kc_cap = KC.min(k);

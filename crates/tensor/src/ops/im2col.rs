@@ -3,6 +3,7 @@
 use crate::error::{Result, TensorError};
 use crate::pool;
 use crate::tensor::Tensor;
+use std::borrow::Cow;
 
 /// Geometry of a 2-D convolution window over an NCHW input.
 ///
@@ -66,10 +67,48 @@ impl ConvGeometry {
         let ow = (self.in_w + 2 * self.pad - self.kernel) / self.stride + 1;
         (oh, ow)
     }
+
+    /// Checks that `x` is a 4-D NCHW input of this geometry's spatial size
+    /// and returns its `(n, c, h, w)`.
+    fn check_input(&self, x: &Tensor) -> Result<(usize, usize, usize, usize)> {
+        if x.rank() != 4 {
+            return Err(TensorError::RankMismatch {
+                expected: 4,
+                actual: x.rank(),
+            });
+        }
+        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
+        if h != self.in_h || w != self.in_w {
+            return Err(TensorError::InvalidGeometry(format!(
+                "geometry expects {}x{}, input is {h}x{w}",
+                self.in_h, self.in_w
+            )));
+        }
+        Ok((n, c, h, w))
+    }
+
+    /// The input an [`Im2colView`] reads: `x` zero-padded by `pad` on
+    /// every side into a pool lease ([`Tensor::pad2d`]), or `x` itself
+    /// when there is no padding. Patch element `(ky, kx)` of output site
+    /// `(oy, ox)` then sits at `(oy·s + ky, ox·s + kx)` of the padded
+    /// plane, with no bounds test.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::im2col`].
+    pub(crate) fn padded_input<'a>(&self, x: &'a Tensor) -> Result<Cow<'a, Tensor>> {
+        self.check_input(x)?;
+        Ok(if self.pad == 0 {
+            Cow::Borrowed(x)
+        } else {
+            Cow::Owned(x.pad2d(self.pad)?)
+        })
+    }
 }
 
-/// The plain-old-data description of an [`Im2colView`]: input layout plus
-/// convolution geometry, with the output spatial size precomputed.
+/// The plain-old-data description of an [`Im2colView`]: the padded input's
+/// layout plus kernel and stride, with the output spatial size
+/// precomputed.
 ///
 /// Split out from the view so the parallel GEMM macro-kernel can ship it
 /// across worker threads by value next to a raw data pointer.
@@ -79,16 +118,14 @@ pub(crate) struct Im2colMeta {
     pub n: usize,
     /// Input channels.
     pub c: usize,
-    /// Input height.
+    /// Padded input height.
     pub h: usize,
-    /// Input width.
+    /// Padded input width.
     pub w: usize,
     /// Square kernel side length.
     pub kernel: usize,
     /// Stride along both spatial axes.
     pub stride: usize,
-    /// Zero padding on every side.
-    pub pad: usize,
     /// Output height.
     pub oh: usize,
     /// Output width.
@@ -97,11 +134,17 @@ pub(crate) struct Im2colMeta {
 
 /// A zero-materialization view of `im2col(x)`: logically the
 /// `(C·k·k, N·oh·ow)` patch matrix of [`Tensor::im2col`], but backed
-/// directly by the NCHW input. The GEMM packing routine reads patch
-/// elements straight out of the input while building its NR-column panels
-/// (contiguous stride-1 runs become `copy_from_slice`), so convolution
-/// never allocates the full patch matrix. Element values are identical to
-/// the materialized lowering (padding reads as `0.0`), which keeps the
+/// directly by the NCHW input, so convolution never allocates the full
+/// patch matrix.
+///
+/// The view reads the input already zero-padded to `(N, C, Hp, Wp)`
+/// ([`ConvGeometry::padded_input`], once per fused product, before the
+/// GEMM dispatches), so every patch element sits at
+/// `xp[row_off + site_off]`: `row_off = ch·Hp·Wp + ky·Wp + kx` depends
+/// only on the patch row and `site_off = img·C·Hp·Wp + oy·s·Wp + ox·s`
+/// only on the output site. The GEMM packer gathers through two tables of
+/// those offsets, built by [`OffsetWalk`]. Element values are identical
+/// to the materialized lowering (padding reads as `0.0`), which keeps the
 /// fused path bitwise equal to `im2col` + `matmul`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Im2colView<'a> {
@@ -109,38 +152,124 @@ pub(crate) struct Im2colView<'a> {
     pub(crate) data: &'a [f32],
 }
 
+/// An odometer over the three mixed-radix digits `(outer, mid, inner)` of
+/// a patch-row or output-site index, yielding the element offset
+/// `outer·s_outer + mid·s_mid + inner·s_inner` of each successive index.
+///
+/// Positioning costs two divisions; every step after that is an add and
+/// a compare, so the GEMM packer builds its offset tables without
+/// dividing inside its loops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OffsetWalk {
+    /// Radix of the middle digit.
+    mid_radix: usize,
+    /// Radix of the inner digit.
+    inner_radix: usize,
+    /// Offset strides of the `(outer, mid, inner)` digits.
+    strides: [usize; 3],
+    /// Current middle digit.
+    mid: usize,
+    /// Current inner digit.
+    inner: usize,
+    /// Offset contributed by the outer digit.
+    outer_base: usize,
+    /// Offset of the current index.
+    offset: usize,
+}
+
+impl OffsetWalk {
+    /// Positions a walk at `index` of the digit space
+    /// `(·, mid_radix, inner_radix)`.
+    fn new(index: usize, mid_radix: usize, inner_radix: usize, strides: [usize; 3]) -> Self {
+        let (outer, rest) = (
+            index / (mid_radix * inner_radix),
+            index % (mid_radix * inner_radix),
+        );
+        let (mid, inner) = (rest / inner_radix, rest % inner_radix);
+        let outer_base = outer * strides[0];
+        OffsetWalk {
+            mid_radix,
+            inner_radix,
+            strides,
+            mid,
+            inner,
+            outer_base,
+            offset: outer_base + mid * strides[1] + inner * strides[2],
+        }
+    }
+
+    /// Returns the current offset and advances to the next index.
+    #[inline]
+    fn next_offset(&mut self) -> usize {
+        let at = self.offset;
+        self.inner += 1;
+        if self.inner < self.inner_radix {
+            self.offset += self.strides[2];
+        } else {
+            self.inner = 0;
+            self.mid += 1;
+            if self.mid == self.mid_radix {
+                self.mid = 0;
+                self.outer_base += self.strides[0];
+            }
+            self.offset = self.outer_base + self.mid * self.strides[1];
+        }
+        at
+    }
+
+    /// Fills `out` with the offsets of consecutive indices.
+    #[inline]
+    pub(crate) fn fill(&mut self, out: &mut [usize]) {
+        for slot in out {
+            *slot = self.next_offset();
+        }
+    }
+}
+
+impl Im2colMeta {
+    /// Walks patch rows `(ch, ky, kx)` from `row`: offsets
+    /// `ch·H·W + ky·W + kx` into the padded input.
+    pub(crate) fn row_walk(&self, row: usize) -> OffsetWalk {
+        let k = self.kernel;
+        OffsetWalk::new(row, k, k, [self.h * self.w, self.w, 1])
+    }
+
+    /// Walks output sites `(img, oy, ox)` from `col`: offsets
+    /// `img·C·H·W + oy·s·W + ox·s` into the padded input.
+    pub(crate) fn site_walk(&self, col: usize) -> OffsetWalk {
+        let s = self.stride;
+        OffsetWalk::new(
+            col,
+            self.oh,
+            self.ow,
+            [self.c * self.h * self.w, s * self.w, s],
+        )
+    }
+}
+
 impl<'a> Im2colView<'a> {
-    /// Builds a view over a 4-D NCHW input, with the same validation as
-    /// [`Tensor::im2col`].
-    pub(crate) fn new(x: &'a Tensor, geom: &ConvGeometry) -> Result<Self> {
-        if x.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: x.rank(),
-            });
-        }
-        let (n, c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]);
-        if h != geom.in_h || w != geom.in_w {
-            return Err(TensorError::InvalidGeometry(format!(
-                "geometry expects {}x{}, input is {h}x{w}",
-                geom.in_h, geom.in_w
-            )));
-        }
+    /// Builds a view over `xp`, the result of `geom.padded_input(x)`.
+    pub(crate) fn new(xp: &'a Tensor, geom: &ConvGeometry) -> Self {
+        let d = xp.dims();
+        debug_assert_eq!(
+            (d[2], d[3]),
+            (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad),
+            "the view reads the padded input"
+        );
         let (oh, ow) = geom.out_hw();
-        Ok(Im2colView {
+        Im2colView {
             meta: Im2colMeta {
-                n,
-                c,
-                h,
-                w,
+                n: d[0],
+                c: d[1],
+                h: d[2],
+                w: d[3],
                 kernel: geom.kernel,
                 stride: geom.stride,
-                pad: geom.pad,
                 oh,
                 ow,
             },
-            data: x.data(),
-        })
+            data: xp.data(),
+        }
     }
 
     /// Rows of the logical patch matrix: `C·k·k`.
@@ -153,25 +282,11 @@ impl<'a> Im2colView<'a> {
         self.meta.n * self.meta.oh * self.meta.ow
     }
 
-    /// Decomposes a row index into its `(channel, ky, kx)` kernel tap.
-    #[inline]
-    pub(crate) fn row_pos(&self, row: usize) -> (usize, usize, usize) {
-        let k = self.meta.kernel;
-        (row / (k * k), (row / k) % k, row % k)
-    }
-
-    /// Decomposes a column index into its `(image, oy, ox)` output site.
-    #[inline]
-    pub(crate) fn col_pos(&self, col: usize) -> (usize, usize, usize) {
-        let sp = self.meta.oh * self.meta.ow;
-        (col / sp, (col % sp) / self.meta.ow, col % self.meta.ow)
-    }
-
-    /// Reads one patch-matrix element given decomposed indices; padding
-    /// taps return `0.0` exactly as the materialized lowering writes them.
-    /// Test-only element oracle: the GEMM packing routine reads runs
-    /// directly, and `view_matches_materialized_im2col_bitwise` uses this
-    /// to pin the per-element semantics both paths must agree on.
+    /// Reads one patch-matrix element given decomposed indices, by
+    /// coordinates in the padded input rather than offset tables.
+    /// Test-only element oracle: `view_matches_materialized_im2col_bitwise`
+    /// uses it to pin the per-element semantics the GEMM packer's gather
+    /// must agree on.
     #[cfg(test)]
     pub(crate) fn sample(
         &self,
@@ -183,12 +298,8 @@ impl<'a> Im2colView<'a> {
         kx: usize,
     ) -> f32 {
         let m = &self.meta;
-        let y = oy * m.stride + ky;
-        let x = ox * m.stride + kx;
-        if y < m.pad || y >= m.h + m.pad || x < m.pad || x >= m.w + m.pad {
-            return 0.0;
-        }
-        self.data[((img * m.c + ch) * m.h + (y - m.pad)) * m.w + (x - m.pad)]
+        let (y, x) = (oy * m.stride + ky, ox * m.stride + kx);
+        self.data[((img * m.c + ch) * m.h + y) * m.w + x]
     }
 }
 
@@ -204,24 +315,7 @@ impl Tensor {
     /// Returns [`TensorError::RankMismatch`] unless the input is 4-D, or a
     /// geometry error if `geom` disagrees with the input's spatial size.
     pub fn im2col(&self, geom: &ConvGeometry) -> Result<Tensor> {
-        if self.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: self.rank(),
-            });
-        }
-        let (n, c, h, w) = (
-            self.dims()[0],
-            self.dims()[1],
-            self.dims()[2],
-            self.dims()[3],
-        );
-        if h != geom.in_h || w != geom.in_w {
-            return Err(TensorError::InvalidGeometry(format!(
-                "geometry expects {}x{}, input is {h}x{w}",
-                geom.in_h, geom.in_w
-            )));
-        }
+        let (n, c, h, w) = geom.check_input(self)?;
         let _obs = hero_obs::span("im2col");
         hero_obs::counters::IM2COL_CALLS.incr();
         let k = geom.kernel;
@@ -439,29 +533,64 @@ mod tests {
 
     #[test]
     fn view_matches_materialized_im2col_bitwise() {
-        let x = Tensor::from_fn([2, 3, 5, 5], |i| (i.iter().sum::<usize>() % 5) as f32 - 2.0);
+        // Non-square input, so a swapped height/width shows.
+        let x = Tensor::from_fn([2, 3, 5, 6], |i| (i.iter().sum::<usize>() % 5) as f32 - 2.0);
         for geom in [
-            ConvGeometry::new(5, 5, 3, 1, 1).unwrap(),
-            ConvGeometry::new(5, 5, 3, 2, 1).unwrap(),
-            ConvGeometry::new(5, 5, 1, 1, 0).unwrap(),
-            ConvGeometry::new(5, 5, 5, 1, 2).unwrap(),
+            ConvGeometry::new(5, 6, 3, 1, 1).unwrap(),
+            ConvGeometry::new(5, 6, 3, 2, 1).unwrap(),
+            ConvGeometry::new(5, 6, 1, 1, 0).unwrap(),
+            ConvGeometry::new(5, 6, 3, 2, 0).unwrap(),
+            ConvGeometry::new(5, 6, 5, 1, 2).unwrap(),
         ] {
             let cols = x.im2col(&geom).unwrap();
-            let view = Im2colView::new(&x, &geom).unwrap();
+            let xp = geom.padded_input(&x).unwrap();
+            let view = Im2colView::new(&xp, &geom);
             assert_eq!(view.rows(), cols.dims()[0]);
             assert_eq!(view.cols(), cols.dims()[1]);
-            for row in 0..view.rows() {
-                let (ch, ky, kx) = view.row_pos(row);
-                for col in 0..view.cols() {
-                    let (img, oy, ox) = view.col_pos(col);
+            // The packer's addressing: `row_off + site_off`, both offsets
+            // from walks started at zero.
+            let mut row_offs = vec![0; view.rows()];
+            view.meta.row_walk(0).fill(&mut row_offs);
+            let mut site_offs = vec![0; view.cols()];
+            view.meta.site_walk(0).fill(&mut site_offs);
+            let k = geom.kernel;
+            let (oh, ow) = geom.out_hw();
+            for (row, &ro) in row_offs.iter().enumerate() {
+                let (ch, ky, kx) = (row / (k * k), (row / k) % k, row % k);
+                for (col, &so) in site_offs.iter().enumerate() {
+                    let (img, oy, ox) = (col / (oh * ow), (col / ow) % oh, col % ow);
+                    let want = cols.get(&[row, col]).unwrap().to_bits();
                     assert_eq!(
                         view.sample(img, ch, oy, ox, ky, kx).to_bits(),
-                        cols.get(&[row, col]).unwrap().to_bits(),
-                        "row {row} col {col}"
+                        want,
+                        "oracle row {row} col {col}"
+                    );
+                    assert_eq!(
+                        view.data[ro + so].to_bits(),
+                        want,
+                        "tables row {row} col {col}"
                     );
                 }
             }
+            // A walk started mid-range continues the one from zero.
+            for start in [1, ow, oh * ow + 1] {
+                let mut tail = vec![0; view.cols() - start];
+                view.meta.site_walk(start).fill(&mut tail);
+                assert_eq!(tail, site_offs[start..]);
+            }
         }
+    }
+
+    #[test]
+    fn padded_input_validates_and_borrows_when_unpadded() {
+        let x = Tensor::ones([1, 2, 4, 4]);
+        let same = ConvGeometry::new(4, 4, 1, 1, 0).unwrap();
+        assert!(matches!(same.padded_input(&x).unwrap(), Cow::Borrowed(_)));
+        let padded = ConvGeometry::new(4, 4, 3, 1, 1).unwrap();
+        assert_eq!(padded.padded_input(&x).unwrap().dims(), &[1, 2, 6, 6]);
+        let wrong_size = ConvGeometry::new(5, 4, 3, 1, 1).unwrap();
+        assert!(wrong_size.padded_input(&x).is_err());
+        assert!(padded.padded_input(&Tensor::ones([2, 4, 4])).is_err());
     }
 
     #[test]

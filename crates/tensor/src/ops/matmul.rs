@@ -148,10 +148,10 @@ impl Tensor {
     /// `(out_c, C·k·k)` weight matrix and `x` a 4-D NCHW input, yielding
     /// `(out_c, N·oh·ow)`.
     ///
-    /// Patch columns are packed straight out of `x` inside the GEMM's
-    /// B-packing loop, so the `(C·k·k, N·oh·ow)` patch matrix is never
-    /// materialized; the result is bitwise identical to
-    /// `self.matmul(&x.im2col(geom)?)`.
+    /// Patch columns are gathered straight out of `x` (zero-padded once
+    /// when `geom.pad > 0`) inside the GEMM's B-packing loop, so the
+    /// `(C·k·k, N·oh·ow)` patch matrix is never materialized; the result
+    /// is bitwise identical to `self.matmul(&x.im2col(geom)?)`.
     ///
     /// # Errors
     ///
@@ -166,7 +166,8 @@ impl Tensor {
                 actual: self.rank(),
             });
         }
-        let view = Im2colView::new(x, geom)?;
+        let xp = geom.padded_input(x)?;
+        let view = Im2colView::new(&xp, geom);
         let (m, k) = (self.dims()[0], self.dims()[1]);
         if k != view.rows() {
             return Err(TensorError::MatmulDims {
@@ -205,7 +206,8 @@ impl Tensor {
                 actual: self.rank(),
             });
         }
-        let view = Im2colView::new(x, geom)?;
+        let xp = geom.padded_input(x)?;
+        let view = Im2colView::new(&xp, geom);
         let (m, k) = (self.dims()[0], self.dims()[1]);
         if k != view.cols() {
             return Err(TensorError::MatmulDims {

@@ -1,6 +1,7 @@
 //! Spatial zero-padding and cropping for NCHW image tensors.
 
 use crate::error::{Result, TensorError};
+use crate::pool;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -27,17 +28,20 @@ impl Tensor {
             self.dims()[3],
         );
         let (ho, wo) = (h + 2 * pad, w + 2 * pad);
-        let mut out = Tensor::zeros([n, c, ho, wo]);
-        for in_ in 0..n {
-            for ch in 0..c {
-                for y in 0..h {
-                    let src = (((in_ * c) + ch) * h + y) * w;
-                    let dst = (((in_ * c) + ch) * ho + y + pad) * wo + pad;
-                    out.data_mut()[dst..dst + w].copy_from_slice(&self.data()[src..src + w]);
-                }
+        // Written front to back, each element once: no zero-fill pass
+        // under the copied interior.
+        let mut out = pool::lease_raw(n * c * ho * wo);
+        for plane in 0..n * c {
+            let src = &self.data()[plane * h * w..][..h * w];
+            out.resize(out.len() + pad * wo, 0.0);
+            for y in 0..h {
+                out.resize(out.len() + pad, 0.0);
+                out.extend_from_slice(&src[y * w..][..w]);
+                out.resize(out.len() + pad, 0.0);
             }
+            out.resize(out.len() + pad * wo, 0.0);
         }
-        Ok(out)
+        Tensor::from_vec(out, [n, c, ho, wo])
     }
 
     /// Adjoint of [`Tensor::pad2d`]: crops `pad` pixels from every side of

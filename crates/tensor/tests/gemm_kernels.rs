@@ -20,13 +20,14 @@
 //! * **Parallel vs serial — bitwise, any thread count.** Worker chunk
 //!   boundaries are NR-aligned C column ranges; every element's summation
 //!   order is the serial order regardless of which worker owns it.
-//! * **Fused im2col vs materialized — bitwise.** The packing loop samples
-//!   the same values `im2col` writes (padding included), in the same
-//!   reduction order.
+//! * **Fused im2col vs materialized — bitwise.** The packer gathers the
+//!   same values `im2col` writes (padding included, read from a
+//!   zero-padded copy of the input), in the same reduction order, at any
+//!   thread count.
 
 use hero_tensor::{
-    force_gemm_kernel, gemm_pool_stats, matmul_reference, set_gemm_threads, ConvGeometry,
-    GemmKernel, Tensor,
+    force_gemm_kernel, gemm_pool_reset_stats, gemm_pool_stats, matmul_reference, set_gemm_threads,
+    ConvGeometry, GemmKernel, Tensor,
 };
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -173,50 +174,92 @@ fn parallel_macro_kernel_is_bitwise_equal_to_serial() {
     );
 }
 
+/// Compares both fused products over `x` — the forward `W·im2col(x)`
+/// and the weight gradient `dY·im2col(x)ᵀ` — against `im2col` +
+/// `matmul`/`matmul_nt`, bit for bit, under the active overrides.
+fn assert_fused_matches_materialized(x: &Tensor, geom: &ConvGeometry, out_c: usize, label: &str) {
+    let cols = x.im2col(geom).unwrap();
+    let w = fill([out_c, cols.dims()[0]], 7);
+    let dy = fill([out_c, cols.dims()[1]], 8);
+    let pairs = [
+        (
+            "fwd",
+            w.matmul_im2col(x, geom).unwrap(),
+            w.matmul(&cols).unwrap(),
+        ),
+        (
+            "dW",
+            dy.matmul_nt_im2col(x, geom).unwrap(),
+            dy.matmul_nt(&cols).unwrap(),
+        ),
+    ];
+    for (product, fused, materialized) in pairs {
+        assert_eq!(fused.dims(), materialized.dims());
+        for (i, (&f, &mv)) in fused.data().iter().zip(materialized.data()).enumerate() {
+            assert_eq!(f.to_bits(), mv.to_bits(), "{label} {product} idx {i}");
+        }
+    }
+}
+
+/// Seeded NCHW input on an odd grid.
+fn image(dims: [usize; 4]) -> Tensor {
+    Tensor::from_fn(dims, |i| {
+        (((i[0] * 29 + i[1] * 17 + i[2] * 5 + i[3] * 3) % 19) as f32 - 9.5) / 6.0
+    })
+}
+
 #[test]
 fn fused_im2col_is_bitwise_equal_to_materialized_for_both_kernels() {
     let _g = lock_overrides();
-    let x = Tensor::from_fn([2, 3, 8, 8], |i| {
-        (((i[0] * 29 + i[1] * 17 + i[2] * 5 + i[3] * 3) % 19) as f32 - 9.5) / 6.0
-    });
+    // (NCHW input dims, kernel, stride, pad, out_c). Patch-matrix columns
+    // are N·oh·ow, rows C·k·k; NR is 8 (scalar) or 16 (AVX2), KC 256.
+    let cases: [([usize; 4], usize, usize, usize, usize); 11] = [
+        // 3×3 same, stride 2, 1×1.
+        ([2, 3, 8, 8], 3, 1, 1, 5),
+        ([2, 3, 8, 8], 3, 2, 1, 5),
+        ([2, 3, 8, 8], 1, 1, 0, 5),
+        // N·oh·ow = 320 > KC: the dW reduction crosses a KC block.
+        ([5, 3, 8, 8], 3, 1, 1, 7),
+        // C·k·k = 288 > KC: the forward reduction crosses a KC block.
+        ([2, 32, 4, 4], 3, 1, 1, 6),
+        // pad 2 with a 3×3 kernel (10×10 output from 8×8).
+        ([2, 3, 8, 8], 3, 1, 2, 5),
+        // stride 2 with no padding.
+        ([2, 4, 9, 9], 3, 2, 0, 6),
+        // Non-square input: 7×11, stride 2, pad 1.
+        ([3, 2, 7, 11], 3, 2, 1, 4),
+        // 4×4 maps.
+        ([4, 8, 4, 4], 3, 1, 1, 16),
+        // Partial last strips in both orientations: 30 sites, 27 taps.
+        ([2, 3, 5, 3], 3, 1, 1, 3),
+        // 1×1 on a non-square map, partial strip: 3·2·5 = 30 sites.
+        ([3, 5, 2, 5], 1, 1, 0, 9),
+    ];
     for kernel in [GemmKernel::Scalar, GemmKernel::Avx2Fma] {
         force_gemm_kernel(Some(kernel));
-        for geom in [
-            ConvGeometry::new(8, 8, 3, 1, 1).unwrap(),
-            ConvGeometry::new(8, 8, 3, 2, 1).unwrap(),
-            ConvGeometry::new(8, 8, 1, 1, 0).unwrap(),
-        ] {
-            let cols = x.im2col(&geom).unwrap();
-            let w = fill([5, cols.dims()[0]], 7);
-            let fused = w.matmul_im2col(&x, &geom).unwrap();
-            let materialized = w.matmul(&cols).unwrap();
-            for (i, (&f, &mv)) in fused.data().iter().zip(materialized.data()).enumerate() {
-                assert_eq!(
-                    f.to_bits(),
-                    mv.to_bits(),
-                    "{} fwd k={} idx {i}",
-                    kernel.name(),
-                    geom.kernel
-                );
-            }
-            let dy = fill([5, cols.dims()[1]], 8);
-            let fused_dw = dy.matmul_nt_im2col(&x, &geom).unwrap();
-            let materialized_dw = dy.matmul_nt(&cols).unwrap();
-            for (i, (&f, &mv)) in fused_dw
-                .data()
-                .iter()
-                .zip(materialized_dw.data())
-                .enumerate()
-            {
-                assert_eq!(
-                    f.to_bits(),
-                    mv.to_bits(),
-                    "{} dW k={} idx {i}",
-                    kernel.name(),
-                    geom.kernel
-                );
-            }
+        for &(dims, k, s, p, out_c) in &cases {
+            let geom = ConvGeometry::new(dims[2], dims[3], k, s, p).unwrap();
+            let label = format!("{} x={dims:?} k={k} s={s} p={p}", kernel.name());
+            assert_fused_matches_materialized(&image(dims), &geom, out_c, &label);
         }
+    }
+    // Above the parallel threshold (2·16·144·2048 ≈ 9.4 MFLOP per
+    // product) on two GEMM workers: both orientations still match, and
+    // every worker packed its share.
+    let x = image([32, 16, 8, 8]);
+    let geom = ConvGeometry::new(8, 8, 3, 1, 1).unwrap();
+    set_gemm_threads(Some(2));
+    for kernel in [GemmKernel::Scalar, GemmKernel::Avx2Fma] {
+        force_gemm_kernel(Some(kernel));
+        gemm_pool_reset_stats();
+        let label = format!("{} threads=2", kernel.name());
+        assert_fused_matches_materialized(&x, &geom, 16, &label);
+        let stats = gemm_pool_stats();
+        assert_eq!(stats.len(), 2, "{label}: the worker pool never ran");
+        assert!(
+            stats.iter().all(|s| s.leases > 0),
+            "{label}: a worker packed nothing: {stats:?}"
+        );
     }
 }
 

@@ -164,14 +164,14 @@ awk -F'"' '
     gflops[name "/" variant] = gf
   }
   END {
-    printf "%-34s %10s %10s %10s %8s\n", "shape", "reference", "scalar", "avx2fma", "simd-x"
+    printf "%-40s %10s %10s %10s %8s\n", "shape", "reference", "scalar", "avx2fma", "simd-x"
     for (i = 1; i <= n; i++) {
       s = order[i]
       ref = gflops[s "/reference"]; sc = gflops[s "/scalar"]; sx = gflops[s "/avx2fma"]
       if (sc == "" || sx == "") {
-        printf "%-34s %10s\n", s, gflops[s "/single"]
+        printf "%-40s %10.2f\n", s, gflops[s "/single"]
       } else {
-        printf "%-34s %10.2f %10.2f %10.2f %7.2fx\n", s, ref, sc, sx, sx / sc
+        printf "%-40s %10.2f %10.2f %10.2f %7.2fx\n", s, ref, sc, sx, sx / sc
       }
     }
   }
